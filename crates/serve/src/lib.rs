@@ -4,10 +4,11 @@
 //! network service built entirely on `std`:
 //!
 //! - [`server::Server`] — an HTTP/1.1 service over `std::net` hosted on
-//!   per-core epoll reactor threads (Linux; a blocking fallback serves
-//!   elsewhere): each reactor owns a `SO_REUSEPORT` listener shard and
-//!   a slab of nonblocking connection state machines with incremental
-//!   request parsing, pipelining, and vectored response writes.
+//!   per-core epoll reactor threads (Linux only; elsewhere `run` fails
+//!   with `Unsupported`): each reactor owns a `SO_REUSEPORT` listener
+//!   shard and a slab of nonblocking connection state machines with
+//!   incremental request parsing, pipelining, and vectored response
+//!   writes.
 //!   Admission control is explicit (per-reactor connection cap → `503`
 //!   with escalating `Retry-After`, written inline), deadlines ride a
 //!   timer wheel, and shutdown drains in-flight work gracefully.

@@ -25,6 +25,11 @@ use twig_tree::Twig;
 use twig_util::cast::size_to_u64;
 use twig_util::FxHashMap;
 
+/// Plans a server caches across `/estimate` requests. The benchmark's
+/// traffic is sized against it: 256 hot twigs all fit, ~18k cold ones
+/// miss every time.
+pub(crate) const PLAN_CACHE_CAPACITY: usize = 1024;
+
 /// One cached fast path: the parsed twig, the lazily filled plan and
 /// the memoized sibling-injectivity discount for the same query text.
 pub(crate) struct CachedPlan {

@@ -67,6 +67,10 @@ pub(crate) struct Conn {
     pub(crate) close_after_flush: bool,
     /// Peer sent EOF (or RDHUP): serve what is buffered, then close.
     pub(crate) peer_closed: bool,
+    /// The last read stopped at the receive-buffer cap, not at
+    /// `WouldBlock`: bytes may be left in the kernel, and edge-triggered
+    /// readiness will not announce them again.
+    pub(crate) read_paused: bool,
 }
 
 impl Conn {
@@ -83,6 +87,7 @@ impl Conn {
             next_wake: idle_until,
             close_after_flush: false,
             peer_closed: false,
+            read_paused: false,
         }
     }
 }

@@ -5,10 +5,9 @@
 //! One reactor is strictly single-threaded: every connection it accepts
 //! lives and dies on its thread, so connection state needs no locks and
 //! the saturation streak driving `Retry-After` escalation is a plain
-//! integer. Cross-thread coordination is exactly what the blocking
-//! server already had — the shared [`ServerState`] (registry, metrics,
-//! plan cache, shutdown flag) — plus the kernel's own accept
-//! distribution across the port shards.
+//! integer. Cross-thread coordination is the shared [`ServerState`]
+//! (registry, metrics, plan cache, shutdown flag) plus the kernel's own
+//! accept distribution across the port shards.
 //!
 //! Readiness is edge-triggered (`EPOLLIN | EPOLLOUT | EPOLLRDHUP |
 //! EPOLLET`, registered once per connection): every event drains its
@@ -89,8 +88,7 @@ mod linux {
 
     /// Runs `workers` reactor threads sharing `first`'s port, returning
     /// once every reactor has drained after shutdown. The error of the
-    /// first reactor to fail fatally (if any) is propagated, matching
-    /// the blocking server's fatal-listener-error contract.
+    /// first reactor to fail fatally (if any) is propagated.
     pub(crate) fn run(first: TcpListener, state: Arc<ServerState>) -> io::Result<()> {
         let reactors = state.config.workers.max(1);
         let addr = first.local_addr()?;
@@ -99,19 +97,25 @@ mod linux {
             listeners.push(sys::reuseport_listener(addr)?);
         }
         state.metrics.init_reactors(reactors);
-        // Each reactor admits the full `workers + queue_capacity` the
-        // blocking server allowed globally: the kernel's reuseport hash
-        // is not a balancer, so splitting the cap across shards would
-        // 503 workloads the old server accepted whenever a few
+        // Each reactor admits the full `workers + queue_capacity`: the
+        // kernel's reuseport hash is not a balancer, so splitting the
+        // cap across shards would 503 light workloads whenever a few
         // connections happened to collide on one shard.
         let per_reactor = state.config.workers.max(1) + state.config.queue_capacity;
+        // Every reactor takes its fds before any serves: a reactor left
+        // to open its epoll instance after the first answer can die of
+        // a later fd shortage, leaving its shard stalled for good.
+        let built = listeners
+            .into_iter()
+            .enumerate()
+            .map(|(index, listener)| Reactor::new(index, listener, Arc::clone(&state), per_reactor))
+            .collect::<io::Result<Vec<_>>>()?;
 
         let mut handles = Vec::with_capacity(reactors);
-        for (index, listener) in listeners.into_iter().enumerate() {
-            let thread_state = Arc::clone(&state);
+        for reactor in built {
             let spawned = std::thread::Builder::new()
-                .name(format!("twig-serve-reactor-{index}"))
-                .spawn(move || Reactor::new(index, listener, thread_state, per_reactor)?.serve());
+                .name(format!("twig-serve-reactor-{}", reactor.index))
+                .spawn(move || reactor.serve());
             match spawned {
                 Ok(handle) => handles.push(handle),
                 Err(err) => {
@@ -437,8 +441,7 @@ mod linux {
                         return;
                     }
                     Err(err) => {
-                        // Fatal listener error: same contract as the
-                        // blocking accept loop — drain, then report.
+                        // Fatal listener error: drain, then report.
                         self.state.metrics.accept_errors.count(err.raw_os_error());
                         self.state.request_shutdown();
                         if self.fatal.is_none() {
@@ -567,9 +570,9 @@ mod linux {
             self.pump(slot);
         }
 
-        /// Reads until `WouldBlock`/EOF, appending to the receive
-        /// buffer. The `http.read` failpoint injects transport faults at
-        /// this boundary, exactly where the blocking reader had it.
+        /// Reads until `WouldBlock`, EOF or the receive-buffer cap,
+        /// appending to the receive buffer. The `http.read` failpoint
+        /// injects transport faults at this boundary.
         fn fill_rbuf(&mut self, slot: usize) -> Flow {
             if let Some(fault) = twig_util::failpoint!("http.read") {
                 return match fault {
@@ -585,16 +588,16 @@ mod linux {
                     }
                 };
             }
-            // Bound buffered-but-unparsed input: one full head + body
-            // plus a read chunk of pipelined follow-on bytes.
-            let rbuf_cap = self.limits.max_head_bytes + self.limits.max_body_bytes + READ_CHUNK;
+            let rbuf_cap = self.rbuf_cap();
             let progress_window = self.state.config.progress_window;
             let scratch = &mut self.scratch;
             let Some(conn) = self.slab.get_mut(slot) else { return Flow::Closed };
+            conn.read_paused = false;
             loop {
                 if conn.rbuf.len() >= rbuf_cap {
-                    // Backpressure: resume from `pump` once responses
-                    // drain. The consumed edge is re-polled directly.
+                    // Backpressure: the edge is consumed, so `pump`
+                    // resumes the read once the buffer drains.
+                    conn.read_paused = true;
                     break;
                 }
                 match sys::read(&mut conn.stream, scratch) {
@@ -628,6 +631,12 @@ mod linux {
             Flow::Live
         }
 
+        /// Bound on buffered-but-unparsed input: one full head + body
+        /// plus a read chunk of pipelined follow-on bytes.
+        fn rbuf_cap(&self) -> usize {
+            self.limits.max_head_bytes + self.limits.max_body_bytes + READ_CHUNK
+        }
+
         /// Parses and dispatches every complete request buffered on the
         /// connection, then flushes; repeats while forward progress is
         /// possible without waiting on the socket.
@@ -641,20 +650,26 @@ mod linux {
                 }
                 let Some(conn) = self.slab.get(slot) else { return };
                 // Another round only pays off when the write queue fully
-                // drained and buffered input may still hold requests
-                // (the high-water pause above, or a paused read).
-                let rbuf_cap = self.limits.max_head_bytes + self.limits.max_body_bytes;
-                let read_was_paused = conn.rbuf.len() >= rbuf_cap;
-                if !(conn.wq.is_empty() && !conn.rbuf.is_empty() && !conn.close_after_flush) {
+                // drained and there is more input: a paused read, or
+                // buffered requests left by the high-water pause.
+                if !conn.wq.is_empty() || conn.close_after_flush {
                     break;
                 }
-                if read_was_paused && self.fill_rbuf(slot) == Flow::Closed {
-                    return;
+                // Never refill a buffer at its cap that frames no request
+                // (an over-limit head that arrived terminated in one read
+                // escapes `HeadTooLarge`): the read would stop at once and
+                // the loop would spin. It waits out its read deadline.
+                if conn.read_paused && conn.rbuf.len() < self.rbuf_cap() {
+                    if self.fill_rbuf(slot) == Flow::Closed {
+                        return;
+                    }
+                    continue;
                 }
-                let Some(conn) = self.slab.get(slot) else { return };
                 // Anything but NeedMore means at least one more request
                 // (or an error) is ready to process this round.
-                if let Ok(Parsed::NeedMore) = parse_request_bytes(&conn.rbuf, &self.limits) {
+                if conn.rbuf.is_empty()
+                    || matches!(parse_request_bytes(&conn.rbuf, &self.limits), Ok(Parsed::NeedMore))
+                {
                     break;
                 }
             }
@@ -672,8 +687,7 @@ mod linux {
                 match parse_request_bytes(&conn.rbuf, &self.limits) {
                     Ok(Parsed::NeedMore) => {
                         if conn.peer_closed && !conn.rbuf.is_empty() {
-                            // EOF mid-request: same taxonomy as the
-                            // blocking reader.
+                            // EOF mid-request.
                             let what = if crate::http::head_complete(&conn.rbuf) {
                                 "connection closed mid-body"
                             } else {
@@ -720,9 +734,9 @@ mod linux {
             Flow::Live
         }
 
-        /// Answers a failed request read the way the blocking server
-        /// did: typed error response where one is defined, silent close
-        /// otherwise; either way the connection ends.
+        /// Answers a failed request read: typed error response where one
+        /// is defined, silent close otherwise; either way the connection
+        /// ends.
         fn fail_read(&mut self, slot: usize, outcome: &ReadOutcome) -> Flow {
             let response = read_error_response(&self.state, outcome);
             let Some(conn) = self.slab.get_mut(slot) else { return Flow::Closed };
@@ -883,8 +897,7 @@ mod linux {
                 if deadline <= now {
                     match phase {
                         // Idle keep-alive expiry closes silently —
-                        // normal keep-alive churn, exactly like the
-                        // blocking path.
+                        // normal keep-alive churn.
                         Phase::Idle => self.close(slot),
                         Phase::Busy { .. } => self.kill_expired(slot, awaiting_request),
                     }

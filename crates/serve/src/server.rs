@@ -1,18 +1,18 @@
 //! The estimation server: routing, endpoint handlers, backpressure and
 //! graceful shutdown, hosted on the reactor event loop.
 //!
-//! Threading model (documented in DESIGN.md §15): on Linux,
-//! [`Server::run`] hands its `SO_REUSEPORT` listener shard to
-//! `reactor::run`, which spawns one epoll reactor per configured worker;
-//! each reactor owns a shard of the same port and a slab of nonblocking
-//! connection state machines. Admission control is per reactor: past its
-//! share of `workers + queue_capacity` connections it writes a `503`
-//! with an escalating `Retry-After` hint and closes — one small write,
-//! never a queued latency pile-up. Shutdown stops admission, lets every
+//! Threading model (documented in DESIGN.md §15): [`Server::run`] hands
+//! its `SO_REUSEPORT` listener shard to `reactor::run`, which spawns one
+//! epoll reactor per configured worker; each reactor owns a shard of the
+//! same port and a slab of nonblocking connection state machines.
+//! Admission control is per reactor: past its share of
+//! `workers + queue_capacity` connections it writes a `503` with an
+//! escalating `Retry-After` hint and closes — one small write, never a
+//! queued latency pile-up. Shutdown stops admission, lets every
 //! connection finish the request in flight (responses during drain carry
-//! `Connection: close`), then joins all reactors. Elsewhere a portable
-//! blocking fallback (thread per admitted connection, same admission cap
-//! and drain policy) preserves the contract.
+//! `Connection: close`), then joins all reactors. The reactor needs
+//! Linux epoll; elsewhere [`Server::run`] returns
+//! [`std::io::ErrorKind::Unsupported`].
 
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -26,10 +26,10 @@ use twig_tree::Twig;
 use twig_util::cast::{count_to_f64, size_to_u64};
 use twig_util::rng::SplitMix64;
 
-use crate::http::{read_request, Limits, ReadOutcome, Request, Response};
+use crate::http::{Limits, ReadOutcome, Request, Response};
 use crate::json::Json;
 use crate::metrics::ServeMetrics;
-use crate::plan::{CachedPlan, PlanCache};
+use crate::plan::{PlanCache, PLAN_CACHE_CAPACITY};
 use crate::registry::{error_chain, SummaryRegistry};
 
 /// Tunables for one server instance.
@@ -47,8 +47,6 @@ pub struct ServerConfig {
     pub read_deadline: Duration,
     /// Keep-alive idle deadline.
     pub idle_deadline: Duration,
-    /// Query plans cached across `/estimate` requests (0 disables).
-    pub plan_cache_capacity: usize,
     /// Progress-window width for busy connections: every window, a
     /// connection mid-request (or mid-response) must move at least
     /// [`ServerConfig::min_progress_bytes`] or it is killed as a
@@ -67,7 +65,6 @@ impl Default for ServerConfig {
             max_batch: 4096,
             read_deadline: Duration::from_secs(10),
             idle_deadline: Duration::from_secs(30),
-            plan_cache_capacity: 1024,
             progress_window: Duration::from_secs(2),
             min_progress_bytes: 128,
         }
@@ -139,7 +136,7 @@ impl ServerState {
     #[cfg(all(test, target_os = "linux"))]
     pub(crate) fn test_state(config: ServerConfig) -> Arc<ServerState> {
         Arc::new(ServerState {
-            plans: PlanCache::new(config.workers.max(1), config.plan_cache_capacity),
+            plans: PlanCache::new(config.workers.max(1), PLAN_CACHE_CAPACITY),
             config,
             registry: SummaryRegistry::new(),
             metrics: ServeMetrics::new(),
@@ -202,7 +199,7 @@ impl Server {
             listener,
             addr,
             state: Arc::new(ServerState {
-                plans: PlanCache::new(config.workers.max(1), config.plan_cache_capacity),
+                plans: PlanCache::new(config.workers.max(1), PLAN_CACHE_CAPACITY),
                 config,
                 registry,
                 metrics: ServeMetrics::new(),
@@ -227,6 +224,7 @@ impl Server {
     }
 
     /// Serves until shutdown is requested, then drains and returns.
+    /// Fails with `Unsupported` on platforms without epoll.
     pub fn run(self) -> std::io::Result<()> {
         #[cfg(target_os = "linux")]
         {
@@ -234,91 +232,12 @@ impl Server {
         }
         #[cfg(not(target_os = "linux"))]
         {
-            run_blocking(self.listener, self.state)
+            Err(std::io::Error::new(
+                std::io::ErrorKind::Unsupported,
+                "twig-serve runs on Linux epoll reactors only",
+            ))
         }
     }
-}
-
-/// Portable fallback serve loop for platforms without the epoll
-/// reactor: one accept thread plus a blocking thread per admitted
-/// connection, capped at the same `workers + queue_capacity` total the
-/// reactor model enforces. Admission 503s, `Retry-After` escalation,
-/// failpoints (inside `read_request`/`process_request`) and the drain
-/// contract all match the reactor path.
-#[cfg_attr(target_os = "linux", allow(dead_code))]
-fn run_blocking(listener: TcpListener, state: Arc<ServerState>) -> std::io::Result<()> {
-    use std::sync::atomic::AtomicUsize;
-
-    let capacity = state.config.workers.max(1) + state.config.queue_capacity;
-    let active = Arc::new(AtomicUsize::new(0));
-    let mut streak = 0u64;
-    listener.set_nonblocking(true)?;
-    let result = loop {
-        if state.shutting_down() {
-            break Ok(());
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                state.metrics.connections_total.inc();
-                // Accepted sockets must be blocking regardless of what
-                // the listener inherits; per-call read timeouts wait.
-                let _ = stream.set_nonblocking(false);
-                let _ = stream.set_nodelay(true);
-                let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-                if active.load(Ordering::SeqCst) >= capacity {
-                    streak += 1;
-                    state.metrics.rejected_saturated.inc();
-                    state.metrics.count_status(503);
-                    reject_connection(
-                        stream,
-                        "server saturated, retry shortly",
-                        retry_after_secs(streak),
-                    );
-                    continue;
-                }
-                streak = 0;
-                active.fetch_add(1, Ordering::SeqCst);
-                let conn_state = Arc::clone(&state);
-                let conn_active = Arc::clone(&active);
-                let spawned =
-                    std::thread::Builder::new().name("twig-serve-conn".into()).spawn(move || {
-                        handle_connection(stream, &conn_state);
-                        conn_active.fetch_sub(1, Ordering::SeqCst);
-                    });
-                if spawned.is_err() {
-                    active.fetch_sub(1, Ordering::SeqCst);
-                }
-            }
-            Err(err)
-                if matches!(
-                    err.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            // Transient per-connection failures (peer reset during the
-            // handshake); keep serving.
-            Err(err)
-                if matches!(
-                    err.kind(),
-                    std::io::ErrorKind::ConnectionAborted
-                        | std::io::ErrorKind::ConnectionReset
-                        | std::io::ErrorKind::Interrupted
-                ) => {}
-            Err(err) => {
-                // Fatal listener error: begin shutdown so in-flight work
-                // still drains, then surface the error.
-                state.shutdown.store(true, Ordering::SeqCst);
-                break Err(err);
-            }
-        }
-    };
-    drop(listener); // stop accepting before the drain
-    while active.load(Ordering::SeqCst) > 0 {
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    result
 }
 
 /// `Retry-After` hint for a saturation rejection. The first rejections
@@ -412,48 +331,14 @@ pub(crate) fn process_request(state: &Arc<ServerState>, request: &Request) -> Di
     }
 }
 
-/// Serves one connection for its whole lifetime (any number of
-/// keep-alive requests). Fallback path only; the reactor runs the same
-/// request pipeline nonblocking.
-#[cfg_attr(target_os = "linux", allow(dead_code))]
-fn handle_connection(mut stream: TcpStream, state: &Arc<ServerState>) {
-    let limits = limits_for(&state.config);
-    loop {
-        let shutdown_probe = || state.shutting_down();
-        match read_request(&mut stream, &limits, &shutdown_probe) {
-            Ok(request) => {
-                match process_request(state, &request) {
-                    Dispatched::Drop => return,
-                    Dispatched::Respond(response) => {
-                        // Evaluated after dispatch (the handler may have
-                        // requested shutdown); during shutdown every
-                        // response closes.
-                        let keep_alive = request.keep_alive() && !state.shutting_down();
-                        if response.write_to(&mut stream, !keep_alive).is_err() || !keep_alive {
-                            return;
-                        }
-                    }
-                }
-            }
-            Err(outcome) => {
-                if let Some(response) = read_error_response(state, &outcome) {
-                    state.metrics.count_status(response.status);
-                    let _ = response.write_to(&mut stream, true);
-                }
-                return;
-            }
-        }
-    }
-}
-
 /// The error response (if any) owed for a failed request read; the
 /// connection closes either way. Pure mapping — the caller counts the
 /// status and writes the response on its own I/O path.
 pub(crate) fn read_error_response(state: &ServerState, outcome: &ReadOutcome) -> Option<Response> {
     match outcome {
-        // Nothing arrived (clean close / idle / shutdown while idle):
-        // closing silently is the correct keep-alive protocol.
-        ReadOutcome::Closed | ReadOutcome::IdleTimeout | ReadOutcome::ShuttingDown => None,
+        // Nothing arrived (clean close / idle): closing silently is the
+        // correct keep-alive protocol.
+        ReadOutcome::Closed | ReadOutcome::IdleTimeout => None,
         ReadOutcome::Io(_) => None,
         ReadOutcome::Timeout => Some(error_response(408, "timeout", "request read timed out")),
         ReadOutcome::HeadTooLarge => {
@@ -749,45 +634,26 @@ fn handle_estimate(request: &Request, state: &Arc<ServerState>) -> Response {
 
     // Resolve every query before estimating any (a bad query at index
     // i must fail the whole batch with no partial work): each query is
-    // either an owned parse (cache off) or a shared cache entry whose
-    // twig was parsed the first time this text was seen — the plan
-    // cache is keyed by raw request text exactly so a hit skips
-    // `Twig::parse` entirely.
-    enum Resolved {
-        Owned(Twig),
-        Cached(Arc<CachedPlan>),
-    }
-    let cache_off = state.config.plan_cache_capacity == 0;
+    // a shared cache entry whose twig was parsed the first time this
+    // text was seen — the plan cache is keyed by raw request text
+    // exactly so a hit skips `Twig::parse` entirely.
     let mut queries = Vec::with_capacity(query_texts.len());
     for (index, text) in query_texts.iter().enumerate() {
-        if !cache_off {
-            let key = PlanCache::key(summary_name, generation, text);
-            if let Some(cached) = state.plans.lookup(&key) {
-                state.metrics.plan_cache_hits_total.inc();
-                queries.push(Resolved::Cached(cached));
-                continue;
-            }
-            state.metrics.plan_cache_misses_total.inc();
-            match Twig::parse(text) {
-                Ok(query) => {
-                    let (cached, evicted) = state.plans.insert(&key, query);
-                    if evicted {
-                        state.metrics.plan_cache_evictions_total.inc();
-                    }
-                    queries.push(Resolved::Cached(cached));
-                }
-                Err(err) => {
-                    return error_response(
-                        400,
-                        "bad_query",
-                        &format!("queries[{index}] '{text}' does not parse: {err}"),
-                    )
-                }
-            }
+        let key = PlanCache::key(summary_name, generation, text);
+        if let Some(cached) = state.plans.lookup(&key) {
+            state.metrics.plan_cache_hits_total.inc();
+            queries.push(cached);
             continue;
         }
+        state.metrics.plan_cache_misses_total.inc();
         match Twig::parse(text) {
-            Ok(query) => queries.push(Resolved::Owned(query)),
+            Ok(query) => {
+                let (cached, evicted) = state.plans.insert(&key, query);
+                if evicted {
+                    state.metrics.plan_cache_evictions_total.inc();
+                }
+                queries.push(cached);
+            }
             Err(err) => {
                 return error_response(
                     400,
@@ -799,17 +665,14 @@ fn handle_estimate(request: &Request, state: &Arc<ServerState>) -> Response {
     }
 
     let mut estimates = Vec::with_capacity(queries.len());
-    for query in &queries {
+    for cached in &queries {
         let started = Instant::now();
-        let estimate = match query {
-            Resolved::Owned(query) => cst.estimate(query, algorithm, kind),
-            Resolved::Cached(cached) => {
-                // Same stages the plan-free path runs, memoized: the
-                // product below is bit-identical to `cst.estimate(...)`.
-                let raw = cst.estimate_raw(&cached.twig, algorithm, kind, Some(&cached.plan));
-                let discount = *cached.discount.get_or_init(|| cst.sibling_discount(&cached.twig));
-                raw * discount
-            }
+        let estimate = {
+            // The stages `cst.estimate(...)` runs, memoized: the product
+            // below is bit-identical to it.
+            let raw = cst.estimate_raw(&cached.twig, algorithm, kind, Some(&cached.plan));
+            let discount = *cached.discount.get_or_init(|| cst.sibling_discount(&cached.twig));
+            raw * discount
         };
         state.metrics.estimate_latency_us.record(micros(started.elapsed()));
         estimates.push(Json::Num(estimate));

@@ -30,22 +30,49 @@ struct Canned {
     raw: &'static [u8],
     method: &'static str,
     target: &'static str,
+    /// The target with its query string stripped.
+    path: &'static str,
+    host: Option<&'static str>,
+    keep_alive: bool,
     body: &'static [u8],
 }
 
 const CANNED: &[Canned] = &[
-    Canned { raw: b"GET /healthz HTTP/1.1\r\n\r\n", method: "GET", target: "/healthz", body: b"" },
+    Canned {
+        raw: b"GET /healthz HTTP/1.1\r\n\r\n",
+        method: "GET",
+        target: "/healthz",
+        path: "/healthz",
+        host: None,
+        keep_alive: true,
+        body: b"",
+    },
     Canned {
         raw: b"POST /estimate HTTP/1.1\r\nhost: t\r\ncontent-length: 9\r\n\r\n{\"q\":\"a\"}",
         method: "POST",
         target: "/estimate",
+        path: "/estimate",
+        host: Some("t"),
+        keep_alive: true,
         body: b"{\"q\":\"a\"}",
     },
     Canned {
         raw: b"POST /admin/reload HTTP/1.0\r\nContent-Length: 0\r\nConnection: keep-alive\r\n\r\n",
         method: "POST",
         target: "/admin/reload",
+        path: "/admin/reload",
+        host: None,
+        keep_alive: true,
         body: b"",
+    },
+    Canned {
+        raw: b"POST /estimate?x=1 HTTP/1.1\r\nHost: twig-serve\r\ncontent-length: 7\r\nConnection: Close\r\n\r\n{\"a\":1}",
+        method: "POST",
+        target: "/estimate?x=1",
+        path: "/estimate",
+        host: Some("twig-serve"),
+        keep_alive: false,
+        body: b"{\"a\":1}",
     },
 ];
 
@@ -55,6 +82,9 @@ fn assert_is(canned: &Canned, parsed: &Parsed) {
             assert_eq!(*consumed, canned.raw.len());
             assert_eq!(request.method, canned.method);
             assert_eq!(request.target, canned.target);
+            assert_eq!(request.path(), canned.path);
+            assert_eq!(request.header("host"), canned.host);
+            assert_eq!(request.keep_alive(), canned.keep_alive);
             assert_eq!(request.body, canned.body);
         }
         Parsed::NeedMore => panic!("complete request parsed as NeedMore"),

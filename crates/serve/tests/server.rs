@@ -308,6 +308,77 @@ fn pipelined_burst_is_served_in_order_over_one_connection() {
 }
 
 #[test]
+fn pipelined_burst_past_the_receive_cap_is_fully_served() {
+    // The burst is several times the reactor's receive-buffer cap
+    // (16 KiB head + 1 KiB body + a 16 KiB read chunk), so the reactor
+    // must stop reading mid-burst and later resume on its own: the
+    // bytes it left in the kernel raise no new edge-triggered event.
+    const REQUESTS: usize = 5000;
+    let dir = temp_dir("pipeline-cap");
+    let (registry, _cst) = default_registry(&dir);
+    let config = ServerConfig { workers: 1, max_body_bytes: 1024, ..ServerConfig::default() };
+    let server = TestServer::start(config, registry);
+
+    let stream = TcpStream::connect(&server.addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let burst = b"GET /healthz HTTP/1.1\r\nhost: x\r\n\r\n".repeat(REQUESTS);
+    let sender = std::thread::spawn(move || {
+        use std::io::Write as _;
+        writer.write_all(&burst)
+    });
+
+    let mut reader = stream;
+    let mut inbound = Vec::new();
+    for index in 0..REQUESTS {
+        let response = read_response_pipelined(&mut reader, &mut inbound, &client_limits())
+            .unwrap_or_else(|e| panic!("response {index}: {e:?}"));
+        assert_eq!(response.status, 200, "response {index}: {}", response.body_text());
+    }
+    sender.join().unwrap().unwrap();
+
+    server.stop();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn full_receive_buffer_without_a_request_times_out_and_spares_the_reactor() {
+    let dir = temp_dir("pipeline-cap-stuck");
+    let (registry, _cst) = default_registry(&dir);
+    let config = ServerConfig {
+        workers: 1,
+        max_body_bytes: 1024,
+        read_deadline: Duration::from_millis(500),
+        ..ServerConfig::default()
+    };
+    let server = TestServer::start(config, registry);
+
+    // A head over the 16 KiB limit that arrives terminated in one read
+    // is framed, and with its declared body still owed, head and body
+    // outgrow the receive-buffer cap: nothing more may be read, and no
+    // request can be parsed.
+    let mut stuck = TcpStream::connect(&server.addr).unwrap();
+    let mut wire = b"POST /estimate HTTP/1.1\r\ncontent-length: 1024\r\nx-pad: ".to_vec();
+    wire.resize(33_000, b'a');
+    wire.extend_from_slice(b"\r\n\r\n");
+    wire.resize(wire.len() + 900, b' ');
+    {
+        use std::io::Write as _;
+        stuck.write_all(&wire).unwrap();
+    }
+
+    // The single reactor keeps serving other connections...
+    assert_eq!(get(&server.addr, "/healthz").status, 200);
+    // ...and the stuck request gets a typed error: a 408 at its read
+    // deadline, or a 431 when the head arrived split across reads.
+    let response = read_response(&mut stuck, &client_limits()).unwrap();
+    assert!(matches!(response.status, 408 | 431), "{}", response.body_text());
+
+    server.stop();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn oversized_body_is_rejected() {
     let dir = temp_dir("oversize");
     let (registry, _cst) = default_registry(&dir);

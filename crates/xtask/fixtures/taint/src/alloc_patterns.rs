@@ -80,9 +80,14 @@ fn compile_steps(q: usize) -> usize {
     steps.len()
 }
 
-/// An allocation reached from the serve request loop.
-pub fn handle_connection(id: u64) -> String {
-    render_status(id)
+/// The reactor's request loop.
+pub struct Reactor;
+
+impl Reactor {
+    /// An allocation reached from the serve request loop.
+    fn process_rbuf(&mut self, id: u64) -> String {
+        render_status(id)
+    }
 }
 
 fn render_status(id: u64) -> String {

@@ -21,10 +21,12 @@ use std::path::Path;
 use items::FileModel;
 
 /// Recursively collects `.rs` files under `dir` as repo-relative
-/// `/`-separated paths, skipping build output, VCS internals, and the
+/// `/`-separated paths, skipping build output, VCS internals, the
 /// analyzer fixture trees (fixtures hold deliberately-bad patterns that
-/// must never leak into workspace reports; the taint self-test scans
-/// them explicitly).
+/// must never leak into workspace reports; the self-tests scan them
+/// explicitly), and every nested directory whose `Cargo.toml` declares
+/// its own `[workspace]`: a separate workspace is not built with this
+/// one, and its names would collide with this one's in the call graph.
 pub(crate) fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) {
     let Ok(entries) = fs::read_dir(dir) else {
         return;
@@ -34,7 +36,9 @@ pub(crate) fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) {
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if matches!(name.as_ref(), "target" | ".git" | "results" | "fixtures") {
+            if matches!(name.as_ref(), "target" | ".git" | "results" | "fixtures")
+                || declares_workspace(&path)
+            {
                 continue;
             }
             collect_rs_files(root, &path, out);
@@ -48,6 +52,12 @@ pub(crate) fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) {
             }
         }
     }
+}
+
+/// Whether `dir/Cargo.toml` has a `[workspace]` table.
+fn declares_workspace(dir: &Path) -> bool {
+    fs::read_to_string(dir.join("Cargo.toml"))
+        .is_ok_and(|manifest| manifest.lines().any(|line| line.trim() == "[workspace]"))
 }
 
 /// Masks, tokenizes and item-models every file in `files` (repo-relative

@@ -1018,8 +1018,8 @@ fn scenario_syscall_storm_and_exhaustion(
     phase_fd_exhaustion(world, baseline, seed)
 }
 
-/// The reactor's syscall shims only exist on Linux (the blocking
-/// fallback has no accept taxonomy or progress windows to storm).
+/// The reactor's syscall shims only exist on Linux, the one platform
+/// the server runs on.
 #[cfg(not(target_os = "linux"))]
 fn scenario_syscall_storm_and_exhaustion(
     _world: &World,

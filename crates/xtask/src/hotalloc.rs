@@ -4,10 +4,11 @@
 //! heap-allocating call (`Vec::new`, `vec!`, `.to_vec()`, `.clone()`,
 //! `format!`, `String::from`, boxing, `.collect()`, …) *reachable* from
 //! a hot-path entry point is a finding. Entries are the per-request
-//! core the bench harness times: `Cst::estimate_raw`, every function in
-//! the sethash kernels file, the CSR trie walk family, and the serve
-//! request loop. The burn-down baseline is what keeps the future epoll
-//! loop and bytecode VM allocation-free per request — a new allocation
+//! core: `Cst::estimate_raw`, every function in the sethash kernels
+//! file, the CSR trie walk family, and the reactor's request loop
+//! (`Reactor::process_rbuf`, which frames, dispatches and answers every
+//! buffered request, read errors included). The burn-down baseline is
+//! what keeps the request path from gaining allocations — a new one
 //! sneaking onto the hot path fails CI instead of a benchmark review.
 //!
 //! Reachability is a forward BFS over the same conservative call graph
@@ -38,7 +39,7 @@ const HOT_ENTRY_SUFFIXES: &[&str] = &[
     "PrunedTrie::walk",
     "PrunedTrie::child",
     "PrunedTrie::find",
-    "handle_connection",
+    "Reactor::process_rbuf",
 ];
 
 /// Files whose every non-test function is a hot entry (the kernels).

@@ -34,7 +34,6 @@
 
 mod analysis;
 mod baseline;
-mod bench;
 mod chaos;
 mod hotalloc;
 mod locks;
@@ -65,7 +64,6 @@ fn main() -> ExitCode {
         Some("flow") => flow(&args[1..]),
         Some("taint") => taint::taint_task(&args[1..]),
         Some("race") => race::race_task(&args[1..]),
-        Some("bench") => bench::bench(&args[1..]),
         Some("chaos") => chaos::chaos(&args[1..]),
         Some("--help" | "-h" | "help") | None => {
             eprintln!("{USAGE}");
@@ -108,11 +106,6 @@ TASKS:
       audit (SAFETY justification comments, raw-pointer/len pairs
       flowing from a validated bound). --self-test checks the analyzer
       against its annotated fixture tree instead of the workspace.
-  bench [--quick] [--out FILE] [--check FILE]
-      Run the estimation benchmark harness (seeded corpora, warmup +
-      trimmed-mean timing): summary build, CSR vs hashmap trie lookups,
-      per-algorithm estimates, the plan-cache hit path, and served
-      throughput. --check fails on a >2x regression vs a prior report.
   chaos [--seeds N]
       Run the seeded chaos harness: the real server in-process under
       deterministic fault injection (reload-during-batch, kill-mid-write
@@ -467,6 +460,9 @@ mod tests {
         assert!(files.iter().any(|f| f == "crates/core/src/cst.rs"), "{files:?}");
         assert!(files.iter().all(|f| !f.starts_with("target/")));
         assert!(files.iter().all(|f| !f.contains("/fixtures/")), "{files:?}");
+        // Nested crates with their own `[workspace]` are other workspaces.
+        assert!(files.iter().all(|f| !f.starts_with("twig-bench-v2/")), "{files:?}");
+        assert!(files.iter().all(|f| !f.starts_with("crates/bench/")), "{files:?}");
     }
 
     #[test]
