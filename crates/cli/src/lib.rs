@@ -71,7 +71,7 @@ USAGE:
   twig workload --input XML [--count N] [--seed N] [--kind positive|trivial|negative]
   twig serve    --summary [NAME=]FILE [--summary ...] [--addr HOST:PORT]
                 [--threads N] [--queue N] [--max-body-kb N] [--max-batch N]
-                [--state-dir DIR]
+                [--state-dir DIR]          (flat .flt summaries only)
 
 Twig query syntax: labels are elements, quoted strings are value-prefix
 leaves, parentheses enclose children: book(author(\"Su\"),year(\"1999\")).
@@ -481,7 +481,8 @@ fn cmd_workload(args: &mut Arguments, out: &mut dyn Write) -> Result<(), String>
 }
 
 /// Boots the estimation server (`twig-serve`) over one or more stored
-/// summaries and blocks until it is shut down (`POST /admin/shutdown`).
+/// flat summaries (an owned file fails to load; `twig pack` converts
+/// it) and blocks until it is shut down (`POST /admin/shutdown`).
 /// Prints `listening on ADDR` once the socket is bound, so scripts can
 /// wait for readiness on stdout.
 fn cmd_serve(args: &mut Arguments, out: &mut dyn Write) -> Result<(), String> {
@@ -877,18 +878,24 @@ mod tests {
         assert!(err.contains("--summary"), "{err}");
         let err = run_capture(&["serve", "--summary", "=x"]).unwrap_err();
         assert!(err.contains("invalid summary spec"), "{err}");
-        let err = run_capture(&["serve", "--summary", "/nonexistent/x.cst"]).unwrap_err();
+        let err = run_capture(&["serve", "--summary", "/nonexistent/x.flt"]).unwrap_err();
         assert!(err.contains("cannot load summary"), "{err}");
-        assert!(err.contains("I/O error"), "{err}");
+        assert!(err.contains("flat summary I/O"), "{err}");
 
         let corpus = temp_path("corpus6.xml");
-        let summary = temp_path("summary6.cst");
+        let owned = temp_path("summary6.cst");
+        let summary = temp_path("summary6.flt");
         run_capture(&[
             "generate", "--kind", "dblp", "--mb", "0.05", "--seed", "6", "--out", &corpus,
         ])
         .expect("generate");
-        run_capture(&["build", "--input", &corpus, "--space", "0.2", "--out", &summary])
+        run_capture(&["build", "--input", &corpus, "--space", "0.2", "--out", &owned])
             .expect("build");
+
+        // An owned summary is refused before the socket is bound.
+        let err = run_capture(&["serve", "--summary", &owned]).unwrap_err();
+        assert!(err.contains("not a TWIGFLT1 flat summary"), "{err}");
+        run_capture(&["pack", "--input", &owned, "--out", &summary]).expect("pack");
 
         // Leftover flags are rejected before the socket is bound.
         let err = run_capture(&["serve", "--summary", &summary, "--bogus", "1"]).unwrap_err();
@@ -901,13 +908,15 @@ mod tests {
     #[test]
     fn serve_boots_answers_and_shuts_down() {
         let corpus = temp_path("corpus7.xml");
-        let summary = temp_path("summary7.cst");
+        let owned = temp_path("summary7.cst");
+        let summary = temp_path("summary7.flt");
         run_capture(&[
             "generate", "--kind", "dblp", "--mb", "0.05", "--seed", "7", "--out", &corpus,
         ])
         .expect("generate");
-        run_capture(&["build", "--input", &corpus, "--space", "0.2", "--out", &summary])
+        run_capture(&["build", "--input", &corpus, "--space", "0.2", "--out", &owned])
             .expect("build");
+        run_capture(&["pack", "--input", &owned, "--out", &summary]).expect("pack");
 
         // Reserve an ephemeral port, then serve on it from a thread.
         let port = {

@@ -10,13 +10,14 @@
 //!   CSR arrays + signature words + label table, each section carrying
 //!   an FNV-1a checksum);
 //! - [`FlatCst`] maps that range read-only (heap fallback) and
-//!   implements the [`Summary`] trait, so all six estimation algorithms
-//!   of the paper run *in place* over the mapped bytes — no per-node
-//!   allocation, bit-identical estimates (the estimators execute the
-//!   same float-op sequence either way; see the seed-sweep tests);
-//! - [`AnySummary`] unifies owned and flat summaries behind one value,
-//!   sniffing the magic bytes on load, so the serving layer hot-swaps
-//!   formats per file: a reload becomes a map-swap, with the old
+//!   implements the [`Summary`](twig_core::Summary) trait, so all six
+//!   estimation algorithms of the paper run *in place* over the mapped
+//!   bytes — no per-node allocation, bit-identical estimates (the
+//!   estimators execute the same float-op sequence either way; see the
+//!   seed-sweep tests);
+//! - [`AnySummary`] loads a file of either format, sniffing the magic
+//!   bytes, for offline callers such as `twig estimate`. The server
+//!   hosts `FlatCst` alone: a reload is a map-swap, with the old
 //!   generation unmapped when the last in-flight request drops its
 //!   `Arc`.
 //!
@@ -51,14 +52,8 @@ use std::io::Read;
 use std::path::Path;
 
 use twig_core::serialize::ReadError;
-use twig_core::{
-    estimate_raw_summary, estimate_summary, sibling_discount_summary, Algorithm, CountKind, Cst,
-    QueryPlan, SignatureFallback, Summary, TrieAccess,
-};
-use twig_pst::{EdgeKey, PathToken, PrunedTrie, TrieNodeId};
-use twig_sethash::SigView;
+use twig_core::{Algorithm, CountKind, Cst, QueryPlan};
 use twig_tree::Twig;
-use twig_util::Symbol;
 
 pub use error::FlatError;
 pub use reader::{FlatCst, FlatTrie, SectionInfo};
@@ -90,13 +85,14 @@ impl Error for LoadError {
     }
 }
 
-/// An owned or flat summary behind one value — the type the serving
-/// layer hosts, so both formats share registries, plans and handlers.
+/// An owned or flat summary behind one value, for offline callers such
+/// as `twig estimate` that accept either file format. Each method
+/// forwards to the variant's own estimator, so both produce the same
+/// bits. The server hosts [`FlatCst`] directly.
 ///
-/// The size skew between variants is deliberate: summaries live behind
-/// an `Arc` in the registry, never in collections of `AnySummary`, so
-/// boxing the flat variant would buy nothing and cost an indirection on
-/// the zero-copy read path.
+/// The size skew between variants is deliberate: a caller holds one or
+/// two of these, never a collection, so boxing the flat variant would
+/// buy nothing and cost an indirection on the zero-copy read path.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum AnySummary {
@@ -121,80 +117,12 @@ impl AnySummary {
         }
     }
 
-    /// Adopts in-memory summary bytes of either format (e.g. a payload
-    /// recovered from a snapshot container).
-    pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, LoadError> {
-        if bytes.get(..8) == Some(format::MAGIC) {
-            FlatCst::from_bytes(bytes).map(AnySummary::Flat).map_err(LoadError::Flat)
-        } else {
-            Cst::from_bytes(&bytes).map(AnySummary::Owned).map_err(LoadError::Owned)
-        }
-    }
-
-    /// Short format tag for diagnostics: `owned`, `flat+mmap`, or
-    /// `flat+heap`.
-    pub fn format_name(&self) -> &'static str {
-        match self {
-            AnySummary::Owned(_) => "owned",
-            AnySummary::Flat(flat) if flat.is_mapped() => "flat+mmap",
-            AnySummary::Flat(_) => "flat+heap",
-        }
-    }
-
-    /// Number of kept trie nodes (including the root).
-    pub fn node_count(&self) -> usize {
-        match self {
-            AnySummary::Owned(cst) => cst.node_count(),
-            AnySummary::Flat(flat) => flat.node_count(),
-        }
-    }
-
-    /// Accounted summary size in bytes under the CST cost model.
-    pub fn size_bytes(&self) -> u64 {
-        match self {
-            AnySummary::Owned(cst) => twig_util::cast::size_to_u64(cst.size_bytes()),
-            AnySummary::Flat(flat) => flat.size_bytes(),
-        }
-    }
-
-    /// Number of data tree element nodes (`n` of the formulae).
-    pub fn n(&self) -> u64 {
-        match self {
-            AnySummary::Owned(cst) => cst.n(),
-            AnySummary::Flat(flat) => flat.n(),
-        }
-    }
-
-    /// The prune threshold the summary was built with.
-    pub fn threshold(&self) -> u32 {
-        match self {
-            AnySummary::Owned(cst) => cst.threshold(),
-            AnySummary::Flat(flat) => flat.threshold(),
-        }
-    }
-
-    /// Min-hash signature length (components per signature).
-    pub fn signature_len(&self) -> usize {
-        match self {
-            AnySummary::Owned(cst) => cst.signature_len(),
-            AnySummary::Flat(flat) => flat.signature_len(),
-        }
-    }
-
-    /// The flat container bytes when this summary is flat (mapped or
-    /// heap): the exact payload a snapshot store should persist. Owned
-    /// summaries return `None` — their payload is the `TWIGCST` file the
-    /// caller already read.
-    pub fn flat_bytes(&self) -> Option<&[u8]> {
-        match self {
-            AnySummary::Owned(_) => None,
-            AnySummary::Flat(flat) => Some(flat.as_bytes()),
-        }
-    }
-
     /// Estimate with MO sibling discounting.
     pub fn estimate(&self, twig: &Twig, algorithm: Algorithm, kind: CountKind) -> f64 {
-        estimate_summary(self, twig, algorithm, kind)
+        match self {
+            AnySummary::Owned(cst) => cst.estimate(twig, algorithm, kind),
+            AnySummary::Flat(flat) => flat.estimate(twig, algorithm, kind),
+        }
     }
 
     /// Raw (undiscounted) estimate, optionally through a cached plan.
@@ -205,110 +133,17 @@ impl AnySummary {
         kind: CountKind,
         plan: Option<&QueryPlan>,
     ) -> f64 {
-        estimate_raw_summary(self, twig, algorithm, kind, plan)
+        match self {
+            AnySummary::Owned(cst) => cst.estimate_raw(twig, algorithm, kind, plan),
+            AnySummary::Flat(flat) => flat.estimate_raw(twig, algorithm, kind, plan),
+        }
     }
 
     /// The MO sibling discount factor.
     pub fn sibling_discount(&self, twig: &Twig) -> f64 {
-        sibling_discount_summary(self, twig)
-    }
-}
-
-/// The borrowed trie view of an [`AnySummary`].
-#[derive(Clone, Copy)]
-pub enum AnyTrie<'a> {
-    /// View over the owned trie.
-    Owned(&'a PrunedTrie),
-    /// View over the mapped CSR arrays.
-    Flat(FlatTrie<'a>),
-}
-
-impl TrieAccess for AnyTrie<'_> {
-    fn child(&self, node: TrieNodeId, edge: EdgeKey) -> Option<TrieNodeId> {
         match self {
-            AnyTrie::Owned(trie) => trie.child(node, edge),
-            AnyTrie::Flat(trie) => trie.child(node, edge),
-        }
-    }
-
-    fn parent(&self, node: TrieNodeId) -> Option<TrieNodeId> {
-        match self {
-            AnyTrie::Owned(trie) => trie.parent(node),
-            AnyTrie::Flat(trie) => trie.parent(node),
-        }
-    }
-
-    fn tokens_of(&self, node: TrieNodeId) -> Vec<PathToken> {
-        match self {
-            AnyTrie::Owned(trie) => trie.tokens_of(node),
-            AnyTrie::Flat(trie) => trie.tokens_of(node),
-        }
-    }
-}
-
-impl Summary for AnySummary {
-    type Trie<'a> = AnyTrie<'a>;
-
-    fn trie(&self) -> AnyTrie<'_> {
-        match self {
-            AnySummary::Owned(cst) => AnyTrie::Owned(cst.trie()),
-            AnySummary::Flat(flat) => AnyTrie::Flat(Summary::trie(flat)),
-        }
-    }
-
-    fn n(&self) -> u64 {
-        match self {
-            AnySummary::Owned(cst) => cst.n(),
-            AnySummary::Flat(flat) => flat.n(),
-        }
-    }
-
-    fn signature_len(&self) -> usize {
-        match self {
-            AnySummary::Owned(cst) => cst.signature_len(),
-            AnySummary::Flat(flat) => flat.signature_len(),
-        }
-    }
-
-    fn fallback(&self) -> SignatureFallback {
-        match self {
-            AnySummary::Owned(cst) => cst.fallback(),
-            AnySummary::Flat(flat) => flat.fallback(),
-        }
-    }
-
-    fn symbol(&self, label: &str) -> Option<Symbol> {
-        match self {
-            AnySummary::Owned(cst) => cst.symbol(label),
-            AnySummary::Flat(flat) => flat.symbol(label),
-        }
-    }
-
-    fn lookup(&self, tokens: &[PathToken]) -> Option<TrieNodeId> {
-        match self {
-            AnySummary::Owned(cst) => cst.lookup(tokens),
-            AnySummary::Flat(flat) => flat.lookup(tokens),
-        }
-    }
-
-    fn presence(&self, node: TrieNodeId) -> u64 {
-        match self {
-            AnySummary::Owned(cst) => cst.presence(node),
-            AnySummary::Flat(flat) => flat.presence(node),
-        }
-    }
-
-    fn occurrence(&self, node: TrieNodeId) -> u64 {
-        match self {
-            AnySummary::Owned(cst) => cst.occurrence(node),
-            AnySummary::Flat(flat) => flat.occurrence(node),
-        }
-    }
-
-    fn signature(&self, node: TrieNodeId) -> Option<SigView<'_>> {
-        match self {
-            AnySummary::Owned(cst) => Summary::signature(cst, node),
-            AnySummary::Flat(flat) => FlatCst::signature(flat, node),
+            AnySummary::Owned(cst) => cst.sibling_discount(twig),
+            AnySummary::Flat(flat) => flat.sibling_discount(twig),
         }
     }
 }
@@ -316,7 +151,7 @@ impl Summary for AnySummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use twig_core::CstConfig;
+    use twig_core::{CstConfig, Summary, TrieAccess};
     use twig_tree::DataTree;
 
     fn small_cst() -> Cst {
@@ -386,16 +221,22 @@ mod tests {
     #[test]
     fn any_summary_sniffs_owned_format() {
         let cst = small_cst();
+        let dir = std::env::temp_dir().join("twig-flat-lib-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("sniff.cst");
         let mut owned_bytes = Vec::new();
         cst.write_to(&mut owned_bytes).unwrap();
-        let any = AnySummary::from_bytes(owned_bytes).unwrap();
+        std::fs::write(&path, owned_bytes).unwrap();
+        let any = AnySummary::load_file(&path).unwrap();
         assert!(matches!(any, AnySummary::Owned(_)));
-        assert_eq!(any.format_name(), "owned");
-        assert_eq!(any.node_count(), cst.node_count());
 
-        let flat_bytes = writer::pack(&cst).unwrap();
-        let any = AnySummary::from_bytes(flat_bytes).unwrap();
-        assert_eq!(any.format_name(), "flat+heap");
-        assert_eq!(any.node_count(), cst.node_count());
+        let query = Twig::parse(r#"book(author("Korn"))"#).unwrap();
+        let flat = AnySummary::Flat(FlatCst::from_bytes(writer::pack(&cst).unwrap()).unwrap());
+        for algorithm in Algorithm::ALL {
+            let owned = any.estimate(&query, algorithm, CountKind::Occurrence);
+            let mapped = flat.estimate(&query, algorithm, CountKind::Occurrence);
+            assert_eq!(owned.to_bits(), mapped.to_bits(), "{algorithm}");
+        }
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -256,12 +256,15 @@ pub enum Parsed {
 /// Incremental: safe to call after every partial read. Limit violations
 /// (`HeadTooLarge`, `BodyTooLarge`) are detected as early as the bytes
 /// allow — an oversized declared body is rejected from its head alone,
-/// before any body byte arrives.
+/// before any body byte arrives. A head longer than `max_head_bytes`
+/// (terminator included) is `HeadTooLarge` whether it arrived whole or
+/// in pieces, so arrival shape never decides the outcome.
 pub fn parse_request_bytes(buffer: &[u8], limits: &Limits) -> Result<Parsed, ReadOutcome> {
-    let Some(head_end) = find_head_end(buffer) else {
-        if buffer.len() > limits.max_head_bytes {
-            return Err(ReadOutcome::HeadTooLarge);
-        }
+    let head_end = find_head_end(buffer);
+    if head_end.unwrap_or(buffer.len()) > limits.max_head_bytes {
+        return Err(ReadOutcome::HeadTooLarge);
+    }
+    let Some(head_end) = head_end else {
         return Ok(Parsed::NeedMore);
     };
     let head_bytes = buffer

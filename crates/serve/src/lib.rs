@@ -12,9 +12,10 @@
 //!   Admission control is explicit (per-reactor connection cap → `503`
 //!   with escalating `Retry-After`, written inline), deadlines ride a
 //!   timer wheel, and shutdown drains in-flight work gracefully.
-//! - [`registry::SummaryRegistry`] — named CST summaries behind an
-//!   `RwLock`, hot-reloadable via `POST /admin/reload` without dropping
-//!   traffic (a failed reload keeps the old summary serving).
+//! - [`registry::SummaryRegistry`] — named flat (`TWIGFLT1`) CST
+//!   summaries, memory-mapped behind an `RwLock`, hot-reloadable via
+//!   `POST /admin/reload` without dropping traffic (a failed reload
+//!   keeps the old summary serving).
 //! - [`json`] — a small strict JSON parser/serializer whose `f64`
 //!   rendering is shortest-round-trip, so served estimates are
 //!   bit-identical to `twig estimate` output.

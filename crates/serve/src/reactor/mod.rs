@@ -655,10 +655,11 @@ mod linux {
                 if !conn.wq.is_empty() || conn.close_after_flush {
                     break;
                 }
-                // Never refill a buffer at its cap that frames no request
-                // (an over-limit head that arrived terminated in one read
-                // escapes `HeadTooLarge`): the read would stop at once and
-                // the loop would spin. It waits out its read deadline.
+                // Never refill a buffer at its cap that frames no request:
+                // the read would stop at once and the loop would spin.
+                // With the head and body limits checked by the parser,
+                // a request frames below the cap, so this is a backstop;
+                // such a buffer would wait out its read deadline.
                 if conn.read_paused && conn.rbuf.len() < self.rbuf_cap() {
                     if self.fill_rbuf(slot) == Flow::Closed {
                         return;

@@ -1,9 +1,10 @@
-//! The summary registry: named, hot-swappable CST summaries.
+//! The summary registry: named, hot-swappable flat CST summaries.
 //!
 //! The registry owns every summary the server can answer queries from,
-//! keyed by name. Readers (`/estimate` handlers) clone an `Arc<Cst>` out
-//! under a read lock and then estimate entirely lock-free; the write
-//! lock is only taken for the brief pointer swap during a reload.
+//! keyed by name. Readers (`/estimate` handlers) clone an
+//! `Arc<FlatCst>` out under a read lock and then estimate entirely
+//! lock-free; the write lock is only taken for the brief pointer swap
+//! during a reload.
 //! Reloads are **fail-safe**: a summary whose file became unreadable or
 //! corrupt keeps serving its previous in-memory version, and the error
 //! is reported to the caller — an operator fat-fingering a file must
@@ -19,23 +20,20 @@
 //! `twig_serve_degraded` gauge, and as the `X-Twig-Stale-Generation`
 //! response header on estimates.
 //!
-//! Summaries come in two formats, decided per file by magic sniff:
-//! owned `TWIGCST` files are deserialized onto the heap, flat
-//! `TWIGFLT1` files are memory-mapped and served zero-copy. A reload of
-//! a flat summary is therefore a *map-swap*: the write lock covers only
-//! the `Arc` pointer exchange, and the old generation's mapping is
-//! unmapped when the last in-flight request drops its `Arc` clone.
-//! Snapshot payloads are the raw container bytes of either format;
-//! recovery re-sniffs, so a store can hold generations of both.
+//! Every summary is a flat `TWIGFLT1` container, memory-mapped and
+//! served zero-copy; an owned `TWIGCST` file fails to load (convert it
+//! with `twig pack`). A reload is therefore a *map-swap*: the write
+//! lock covers only the `Arc` pointer exchange, and the old
+//! generation's mapping is unmapped when the last in-flight request
+//! drops its `Arc` clone. Snapshot payloads are the container bytes,
+//! and recovery adopts them as heap-backed summaries.
 //!
 //! [`load_or_recover`]: SummaryRegistry::load_or_recover
 
-use std::io::Read as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Arc, OnceLock, RwLock};
 
-use twig_core::ReadError;
-use twig_flat::{AnySummary, FlatCst, LoadError as SummaryLoadError};
+use twig_flat::{FlatCst, FlatError};
 use twig_util::metrics::Counter;
 
 use crate::snapshot::SnapshotStore;
@@ -45,7 +43,7 @@ use crate::snapshot::SnapshotStore;
 pub struct SummarySpec {
     /// Registry key, e.g. `default`.
     pub name: String,
-    /// Path to the `Cst::write_to` file.
+    /// Path to the flat (`TWIGFLT1`) summary file.
     pub path: PathBuf,
 }
 
@@ -72,18 +70,18 @@ impl SummarySpec {
     }
 }
 
-/// A failure to load one summary. Chains to the underlying
-/// format-specific failure (and through it to `io::Error` / `CstError`
-/// / `FlatError`) via [`source`](std::error::Error::source), so callers
-/// can render the full cause chain in one error envelope.
+/// A failure to load one summary. Chains to the [`FlatError`] (and
+/// through it to `io::Error`) via
+/// [`source`](std::error::Error::source), so callers can render the
+/// full cause chain in one error envelope.
 #[derive(Debug)]
 pub struct LoadError {
     /// The registry name being (re)loaded.
     pub name: String,
     /// The file that failed.
     pub path: PathBuf,
-    /// The underlying read failure (owned or flat format).
-    pub source: SummaryLoadError,
+    /// The underlying open or validation failure.
+    pub source: FlatError,
 }
 
 impl std::fmt::Display for LoadError {
@@ -99,7 +97,7 @@ impl std::error::Error for LoadError {
 }
 
 /// Renders `err` and its full `source()` chain as one line, outermost
-/// first: `cannot load summary 'x' from p: I/O error: …`. This is the
+/// first: `cannot load summary 'x' from p: flat summary I/O: …`. This is the
 /// uniform error envelope text for load failures.
 #[must_use]
 pub fn error_chain(err: &dyn std::error::Error) -> String {
@@ -119,16 +117,13 @@ pub fn error_chain(err: &dyn std::error::Error) -> String {
 
 struct Entry {
     spec: SummarySpec,
-    cst: Arc<AnySummary>,
+    summary: Arc<FlatCst>,
     /// Bumped on every successful (re)load; lets clients observe swaps.
     generation: u64,
-    /// Size of the file the current summary was loaded from.
-    file_bytes: usize,
-    /// Degraded mode: the served summary is *not* a fresh read of the
-    /// spec file — the last reload failed, or the entry was recovered
-    /// from a snapshot. Cleared by the next successful (re)load.
-    stale: bool,
-    /// Rendered cause chain of the failure that made the entry stale.
+    /// Degraded mode when set: the served summary is *not* a fresh read
+    /// of the spec file — the last reload failed, or the entry was
+    /// recovered from a snapshot — and this is the rendered cause chain
+    /// of that failure. Cleared by the next successful (re)load.
     last_error: Option<String>,
 }
 
@@ -141,7 +136,7 @@ pub struct SummaryInfo {
     pub path: PathBuf,
     /// Reload generation (1 = initial load).
     pub generation: u64,
-    /// Size of the backing file at load time.
+    /// Size of the flat container being served.
     pub file_bytes: usize,
     /// Trie nodes in the summary.
     pub nodes: usize,
@@ -151,8 +146,8 @@ pub struct SummaryInfo {
     pub threshold: u32,
     /// Min-hash signature length.
     pub signature_len: usize,
-    /// Storage format serving this entry: `owned`, `flat+mmap`, or
-    /// `flat+heap`.
+    /// Backing of the served container: `flat+mmap`, or `flat+heap`
+    /// for a summary recovered from a snapshot.
     pub format: &'static str,
     /// Degraded mode: serving a stale generation (failed reload or
     /// snapshot recovery).
@@ -225,18 +220,17 @@ impl SummaryRegistry {
     }
 
     /// Installs a loaded summary, returning its new generation. The
-    /// write lock covers only this pointer swap — for a mapped flat
-    /// summary a reload is a *map-swap*, and the displaced generation's
-    /// mapping is released when the last reader drops its `Arc`.
-    /// `generation` pins an explicit generation (snapshot recovery);
-    /// otherwise the entry's previous generation + 1 is used.
+    /// write lock covers only this pointer swap — a reload is a
+    /// *map-swap*, and the displaced generation's mapping is released
+    /// when the last reader drops its `Arc`. `generation` pins an
+    /// explicit generation (snapshot recovery); otherwise the entry's
+    /// previous generation + 1 is used. `last_error` marks the entry
+    /// stale.
     fn install(
         &self,
         spec: SummarySpec,
-        cst: Arc<AnySummary>,
-        file_bytes: usize,
+        summary: Arc<FlatCst>,
         generation: Option<u64>,
-        stale: bool,
         last_error: Option<String>,
     ) -> u64 {
         let mut entries = self.write_entries();
@@ -244,42 +238,40 @@ impl SummaryRegistry {
             Some(at) => {
                 let generation =
                     generation.unwrap_or_else(|| entries[at].generation.saturating_add(1));
-                entries[at] = Entry { spec, cst, generation, file_bytes, stale, last_error };
+                entries[at] = Entry { spec, summary, generation, last_error };
                 generation
             }
             None => {
                 let generation = generation.unwrap_or(1);
-                entries.push(Entry { spec, cst, generation, file_bytes, stale, last_error });
+                entries.push(Entry { spec, summary, generation, last_error });
                 generation
             }
         }
     }
 
-    /// Persists `bytes` as a snapshot generation, best-effort: a store
-    /// failure must never fail the (re)load that produced the summary,
-    /// so it only bumps [`snapshot_failure_count`] here.
+    /// Installs a fresh read of `spec`'s file and persists its container
+    /// as a snapshot generation, best-effort: a store failure must never
+    /// fail the (re)load that produced the summary, so it only bumps
+    /// [`snapshot_failure_count`] here.
     ///
     /// [`snapshot_failure_count`]: SummaryRegistry::snapshot_failure_count
-    fn persist_snapshot(&self, name: &str, generation: u64, bytes: &[u8]) {
-        let Some(store) = self.store.get() else {
-            return;
-        };
-        if store.persist(name, generation, bytes).is_err() {
-            self.snapshot_failures.inc();
+    fn install_fresh(&self, spec: SummarySpec, summary: FlatCst) -> u64 {
+        let name = spec.name.clone();
+        let summary = Arc::new(summary);
+        let generation = self.install(spec, Arc::clone(&summary), None, None);
+        if let Some(store) = self.store.get() {
+            if store.persist(&name, generation, summary.as_bytes()).is_err() {
+                self.snapshot_failures.inc();
+            }
         }
+        generation
     }
 
     /// Loads `spec` from disk and inserts it (replacing any entry with
     /// the same name). The registry is untouched on failure.
     pub fn load(&self, spec: SummarySpec) -> Result<(), LoadError> {
-        let loaded = load_any(&spec)?;
-        let name = spec.name.clone();
-        let file_bytes = loaded.file_bytes();
-        let (summary, owned_bytes) = loaded.into_parts();
-        let generation = self.install(spec, Arc::clone(&summary), file_bytes, None, false, None);
-        if let Some(payload) = snapshot_payload(&summary, owned_bytes.as_deref()) {
-            self.persist_snapshot(&name, generation, payload);
-        }
+        let summary = open_spec(&spec)?;
+        self.install_fresh(spec, summary);
         Ok(())
     }
 
@@ -290,18 +282,8 @@ impl SummaryRegistry {
     /// path: a torn summary file degrades service instead of refusing
     /// to boot.
     pub fn load_or_recover(&self, spec: SummarySpec) -> Result<LoadOutcome, LoadError> {
-        let spec_failure = match load_any(&spec) {
-            Ok(loaded) => {
-                let name = spec.name.clone();
-                let file_bytes = loaded.file_bytes();
-                let (summary, owned_bytes) = loaded.into_parts();
-                let generation =
-                    self.install(spec, Arc::clone(&summary), file_bytes, None, false, None);
-                if let Some(payload) = snapshot_payload(&summary, owned_bytes.as_deref()) {
-                    self.persist_snapshot(&name, generation, payload);
-                }
-                return Ok(LoadOutcome::Fresh(generation));
-            }
+        let spec_failure = match open_spec(&spec) {
+            Ok(summary) => return Ok(LoadOutcome::Fresh(self.install_fresh(spec, summary))),
             Err(err) => err,
         };
         let Some(store) = self.store.get() else {
@@ -310,22 +292,15 @@ impl SummaryRegistry {
         let Ok(Some(recovered)) = store.recover(&spec.name) else {
             return Err(spec_failure);
         };
-        let file_bytes = recovered.payload.len();
-        // The payload is a container of either format; re-sniff it.
-        let Ok(summary) = AnySummary::from_bytes(recovered.payload) else {
-            // The snapshot verified its checksum but does not parse —
-            // should be impossible; fall back to the spec failure.
+        // A payload that verified its checksum but is not a flat
+        // container (an owned summary persisted by an older server) is
+        // never served: the spec-file failure stands.
+        let Ok(summary) = FlatCst::from_bytes(recovered.payload) else {
             return Err(spec_failure);
         };
         let error = error_chain(&spec_failure);
-        let generation = self.install(
-            spec,
-            Arc::new(summary),
-            file_bytes,
-            Some(recovered.generation),
-            true,
-            Some(error.clone()),
-        );
+        let generation =
+            self.install(spec, Arc::new(summary), Some(recovered.generation), Some(error.clone()));
         Ok(LoadOutcome::Recovered { generation, error })
     }
 
@@ -334,19 +309,19 @@ impl SummaryRegistry {
     /// swaps the entry mid-request — estimates within one request are
     /// always computed against one consistent summary.
     #[must_use]
-    pub fn get(&self, name: &str) -> Option<Arc<AnySummary>> {
-        self.read_entries().iter().find(|e| e.spec.name == name).map(|e| Arc::clone(&e.cst))
+    pub fn get(&self, name: &str) -> Option<Arc<FlatCst>> {
+        self.read_entries().iter().find(|e| e.spec.name == name).map(|e| Arc::clone(&e.summary))
     }
 
     /// Like [`get`](SummaryRegistry::get), but also returns the entry's
     /// reload generation — the component of the plan-cache key that
     /// makes cached plans self-invalidating across reloads — and its
     /// staleness (degraded mode) for the response header.
-    pub(crate) fn get_for_serving(&self, name: &str) -> Option<(Arc<AnySummary>, u64, bool)> {
+    pub(crate) fn get_for_serving(&self, name: &str) -> Option<(Arc<FlatCst>, u64, bool)> {
         self.read_entries()
             .iter()
             .find(|e| e.spec.name == name)
-            .map(|e| (Arc::clone(&e.cst), e.generation, e.stale))
+            .map(|e| (Arc::clone(&e.summary), e.generation, e.last_error.is_some()))
     }
 
     /// Number of entries currently serving a stale generation (the
@@ -355,7 +330,7 @@ impl SummaryRegistry {
     pub fn degraded(&self) -> u64 {
         let mut count = 0u64;
         for entry in &*self.read_entries() {
-            if entry.stale {
+            if entry.last_error.is_some() {
                 count += 1;
             }
         }
@@ -377,13 +352,13 @@ impl SummaryRegistry {
                 name: e.spec.name.clone(),
                 path: e.spec.path.clone(),
                 generation: e.generation,
-                file_bytes: e.file_bytes,
-                nodes: e.cst.node_count(),
-                n: e.cst.n(),
-                threshold: e.cst.threshold(),
-                signature_len: e.cst.signature_len(),
-                format: e.cst.format_name(),
-                stale: e.stale,
+                file_bytes: e.summary.file_len(),
+                nodes: e.summary.node_count(),
+                n: e.summary.n(),
+                threshold: e.summary.threshold(),
+                signature_len: e.summary.signature_len(),
+                format: if e.summary.is_mapped() { "flat+mmap" } else { "flat+heap" },
+                stale: e.last_error.is_some(),
                 last_error: e.last_error.clone(),
             })
             .collect()
@@ -411,7 +386,7 @@ impl SummaryRegistry {
         let mut results = Vec::with_capacity(specs.len());
         for spec in specs {
             let name = spec.name.clone();
-            match load_any(&spec) {
+            match open_spec(&spec) {
                 Err(err) => {
                     // Degraded mode: keep serving the old generation and
                     // record why it is now stale.
@@ -419,23 +394,13 @@ impl SummaryRegistry {
                     let mut entries = self.write_entries();
                     for entry in &mut *entries {
                         if entry.spec.name == name {
-                            entry.stale = true;
                             entry.last_error = Some(chain.clone());
                         }
                     }
                     drop(entries);
                     results.push((name, Err(err)));
                 }
-                Ok(loaded) => {
-                    let file_bytes = loaded.file_bytes();
-                    let (summary, owned_bytes) = loaded.into_parts();
-                    let generation =
-                        self.install(spec, Arc::clone(&summary), file_bytes, None, false, None);
-                    if let Some(payload) = snapshot_payload(&summary, owned_bytes.as_deref()) {
-                        self.persist_snapshot(&name, generation, payload);
-                    }
-                    results.push((name, Ok(generation)));
-                }
+                Ok(summary) => results.push((name, Ok(self.install_fresh(spec, summary)))),
             }
         }
         results
@@ -451,64 +416,27 @@ impl SummaryRegistry {
     }
 }
 
-/// One freshly loaded summary plus (for the owned format) the raw file
-/// bytes that double as the snapshot payload. A mapped flat summary
-/// carries no heap copy — its mapping *is* the payload.
-struct LoadedSummary {
-    summary: Arc<AnySummary>,
-    owned_bytes: Option<Vec<u8>>,
-}
-
-impl LoadedSummary {
-    fn file_bytes(&self) -> usize {
-        match (&*self.summary, &self.owned_bytes) {
-            (_, Some(bytes)) => bytes.len(),
-            (AnySummary::Flat(flat), None) => flat.file_len(),
-            (AnySummary::Owned(cst), None) => cst.size_bytes(),
-        }
-    }
-
-    fn into_parts(self) -> (Arc<AnySummary>, Option<Vec<u8>>) {
-        (self.summary, self.owned_bytes)
-    }
-}
-
-/// The snapshot payload for a loaded summary: the owned file bytes when
-/// the loader kept them, otherwise the flat container's own byte range.
-fn snapshot_payload<'a>(
-    summary: &'a AnySummary,
-    owned_bytes: Option<&'a [u8]>,
-) -> Option<&'a [u8]> {
-    owned_bytes.or_else(|| summary.flat_bytes())
-}
-
-/// Reads and parses a spec file of either format, decided by magic
-/// sniff: flat `TWIGFLT1` files are memory-mapped (zero-copy), owned
-/// `TWIGCST` files are read whole and deserialized.
+/// Maps a spec file as a flat summary (zero-copy; `FlatCst::open`
+/// falls back to the heap where mapping fails).
 ///
 /// Failpoint `registry.load`: `error` injects an I/O failure; `partial(p)`
-/// hands the parser only the first `p` percent of the file — a torn read.
-fn load_any(spec: &SummarySpec) -> Result<LoadedSummary, LoadError> {
-    let wrap = |source: SummaryLoadError| LoadError {
-        name: spec.name.clone(),
-        path: spec.path.clone(),
-        source,
-    };
-    let wrap_io = |e: std::io::Error| SummaryLoadError::Owned(ReadError::Io(e));
+/// reads the file to the heap and hands the validator only the first `p`
+/// percent of it — a torn read.
+fn open_spec(spec: &SummarySpec) -> Result<FlatCst, LoadError> {
+    let wrap =
+        |source: FlatError| LoadError { name: spec.name.clone(), path: spec.path.clone(), source };
     if let Some(fault) = twig_util::failpoint!("registry.load") {
-        let mut bytes = std::fs::read(&spec.path).map_err(|e| wrap(wrap_io(e)))?;
+        let mut bytes = std::fs::read(&spec.path).map_err(|e| wrap(e.into()))?;
         match fault {
             twig_util::failpoint::Fault::Error => {
-                return Err(wrap(wrap_io(std::io::Error::other(
-                    "injected fault at registry.load",
-                ))));
+                return Err(wrap(std::io::Error::other("injected fault at registry.load").into()));
             }
             twig_util::failpoint::Fault::Errno(code) => {
-                return Err(wrap(wrap_io(std::io::Error::from_raw_os_error(code))));
+                return Err(wrap(std::io::Error::from_raw_os_error(code).into()));
             }
             twig_util::failpoint::Fault::Partial(keep_percent) => {
                 // Env-sourced percentage: checked scale, same as the
-                // `serialize.read` failpoint.
+                // `flat.pack` failpoint.
                 let keep = bytes
                     .len()
                     .checked_mul(usize::try_from(keep_percent.min(100)).unwrap_or(100))
@@ -516,36 +444,15 @@ fn load_any(spec: &SummarySpec) -> Result<LoadedSummary, LoadError> {
                 bytes.truncate(keep);
             }
         }
-        let owned_bytes = Some(bytes.clone());
-        let summary = AnySummary::from_bytes(bytes).map_err(wrap)?;
-        return Ok(LoadedSummary { summary: Arc::new(summary), owned_bytes });
+        return FlatCst::from_bytes(bytes).map_err(wrap);
     }
-    if sniff_flat(&spec.path) {
-        let flat = FlatCst::open(&spec.path).map_err(|e| wrap(SummaryLoadError::Flat(e)))?;
-        return Ok(LoadedSummary { summary: Arc::new(AnySummary::Flat(flat)), owned_bytes: None });
-    }
-    let bytes = std::fs::read(&spec.path).map_err(|e| wrap(wrap_io(e)))?;
-    let summary = AnySummary::from_bytes(bytes.clone()).map_err(wrap)?;
-    Ok(LoadedSummary { summary: Arc::new(summary), owned_bytes: Some(bytes) })
-}
-
-/// True when `path` starts with the flat-summary magic. Read failures
-/// answer `false` so the owned loader reports them with full context.
-fn sniff_flat(path: &Path) -> bool {
-    let mut magic = [0u8; 8];
-    std::fs::File::open(path)
-        .and_then(|mut file| file.read_exact(&mut magic))
-        .is_ok_and(|()| &magic == twig_flat::format::MAGIC)
-}
-
-/// Loads a summary directly from `path` (CLI convenience, bypassing the
-/// registry). Sniffs the format like the registry does.
-pub fn load_summary_file(path: &Path) -> Result<AnySummary, SummaryLoadError> {
-    AnySummary::load_file(path)
+    FlatCst::open(&spec.path).map_err(wrap)
 }
 
 #[cfg(test)]
 mod tests {
+    use std::path::Path;
+
     use super::*;
     use twig_core::{Cst, CstConfig, SpaceBudget};
     use twig_tree::DataTree;
@@ -560,6 +467,8 @@ mod tests {
         dir
     }
 
+    /// Writes a flat summary of `xml` to `path` (temp file + rename, so
+    /// a live mapping of the old file is never truncated).
     fn write_summary(path: &Path, xml: &str) -> Cst {
         let tree = DataTree::from_xml(xml).unwrap();
         let cst = Cst::build(
@@ -567,18 +476,16 @@ mod tests {
             &CstConfig { budget: SpaceBudget::Threshold(1), ..CstConfig::default() },
         )
         .unwrap();
-        let mut bytes = Vec::new();
-        cst.write_to(&mut bytes).unwrap();
-        std::fs::write(path, &bytes).unwrap();
+        twig_flat::writer::write_file(&cst, path).unwrap();
         cst
     }
 
     #[test]
     fn spec_parsing() {
-        let spec = SummarySpec::parse("main=/tmp/a.cst").unwrap();
+        let spec = SummarySpec::parse("main=/tmp/a.flt").unwrap();
         assert_eq!(spec.name, "main");
-        assert_eq!(spec.path, PathBuf::from("/tmp/a.cst"));
-        let spec = SummarySpec::parse("/tmp/dblp.cst").unwrap();
+        assert_eq!(spec.path, PathBuf::from("/tmp/a.flt"));
+        let spec = SummarySpec::parse("/tmp/dblp.flt").unwrap();
         assert_eq!(spec.name, "dblp");
         assert!(SummarySpec::parse("=x").is_err());
         assert!(SummarySpec::parse("x=").is_err());
@@ -587,7 +494,7 @@ mod tests {
     #[test]
     fn load_get_reload_and_failsafe() {
         let dir = temp_dir();
-        let path = dir.join("main.cst");
+        let path = dir.join("main.flt");
         let original = write_summary(&path, "<r><a><b>x</b></a></r>");
         let registry = SummaryRegistry::new();
         registry.load(SummarySpec { name: "main".into(), path: path.clone() }).unwrap();
@@ -604,12 +511,14 @@ mod tests {
         assert_eq!(registry.get("main").unwrap().node_count(), replacement.node_count());
 
         // Corrupt the file: reload fails, old summary keeps serving.
-        std::fs::write(&path, [0x67u8; 64]).unwrap();
+        let corrupt = dir.join("corrupt.tmp");
+        std::fs::write(&corrupt, [0x67u8; 64]).unwrap();
+        std::fs::rename(&corrupt, &path).unwrap();
         let results = registry.reload_all();
         let (_, Err(err)) = &results[0] else { panic!("expected failure") };
         let chain = error_chain(err);
         assert!(chain.contains("cannot load summary 'main'"), "{chain}");
-        assert!(chain.contains("bad magic"), "{chain}");
+        assert!(chain.contains("not a TWIGFLT1 flat summary"), "{chain}");
         assert_eq!(registry.get("main").unwrap().node_count(), replacement.node_count());
         assert_eq!(registry.infos()[0].generation, 2, "failed reload must not bump");
 
@@ -620,13 +529,13 @@ mod tests {
     fn error_chain_includes_io_cause() {
         let registry = SummaryRegistry::new();
         let err = registry
-            .load(SummarySpec { name: "x".into(), path: "/nonexistent/x.cst".into() })
+            .load(SummarySpec { name: "x".into(), path: "/nonexistent/x.flt".into() })
             .unwrap_err();
         let chain = error_chain(&err);
         assert!(chain.contains("cannot load summary 'x'"), "{chain}");
-        assert!(chain.contains("I/O error"), "{chain}");
+        assert!(chain.contains("flat summary I/O"), "{chain}");
         // The io::Error itself is the chain root.
         use std::error::Error as _;
-        assert!(err.source().unwrap().source().is_some(), "ReadError::Io chains to io::Error");
+        assert!(err.source().unwrap().source().is_some(), "FlatError::Io chains to io::Error");
     }
 }

@@ -10,12 +10,13 @@
 //! <dir>/MANIFEST               the commit point (see below)
 //! ```
 //!
-//! Each snapshot file is the raw `Cst::write_to` encoding followed by a
-//! 24-byte footer: an FNV-1a 64 checksum of the payload, the payload
-//! length, and the magic `TWIGSNP1` (all little-endian). A file whose
-//! footer does not verify is *torn* — a crash or fault interrupted the
-//! write — and recovery quarantines it (renames it aside with a
-//! `.quarantined` suffix) rather than serving or deleting evidence.
+//! Each snapshot file is the served flat (`TWIGFLT1`) container
+//! followed by a 24-byte footer: an FNV-1a 64 checksum of the payload,
+//! the payload length, and the magic `TWIGSNP1` (all little-endian).
+//! A file whose footer does not verify is *torn* — a crash or fault
+//! interrupted the write — and recovery quarantines it (renames it
+//! aside with a `.quarantined` suffix) rather than serving or deleting
+//! evidence.
 //!
 //! Writes are crash-safe by construction: the framed bytes go to a
 //! `.tmp` file, are fsynced, and are renamed into place; only then is
@@ -215,7 +216,8 @@ struct ManifestEntry {
 /// A summary recovered from the store.
 #[derive(Debug)]
 pub struct Recovered {
-    /// The verified `Cst::write_to` bytes of the last good generation.
+    /// The verified payload (the flat container) of the last good
+    /// generation.
     pub payload: Vec<u8>,
     /// The generation the payload was committed as.
     pub generation: u64,

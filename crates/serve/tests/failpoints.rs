@@ -44,9 +44,7 @@ fn write_summary_file(path: &Path, xml: &str) {
     let cst =
         Cst::build(&tree, &CstConfig { budget: SpaceBudget::Threshold(1), ..CstConfig::default() })
             .unwrap();
-    let mut bytes = Vec::new();
-    cst.write_to(&mut bytes).unwrap();
-    std::fs::write(path, &bytes).unwrap();
+    twig_flat::writer::write_file(&cst, path).unwrap();
 }
 
 fn request(addr: &str, method: &str, path: &str, body: &[u8]) -> ClientResponse {
@@ -70,7 +68,7 @@ fn stop(handle: &ServerHandle, thread: std::thread::JoinHandle<std::io::Result<(
 #[test]
 fn forced_reload_failures_never_disturb_serving() {
     let dir = temp_dir("reload");
-    let path = dir.join("main.cst");
+    let path = dir.join("main.flt");
     write_summary_file(&path, XML);
     let registry = SummaryRegistry::new();
     registry.load(SummarySpec { name: "main".into(), path: path.clone() }).unwrap();

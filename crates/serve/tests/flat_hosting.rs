@@ -1,5 +1,6 @@
 //! End-to-end tests for serving flat (`TWIGFLT1`) summaries: the
-//! registry mmaps them zero-copy, reload is a map-swap, snapshots
+//! registry mmaps them zero-copy, reload is a map-swap, owned
+//! (`TWIGCST`) files and snapshot payloads are refused, snapshots
 //! persist the raw flat container, and quarantined torn snapshots are
 //! surfaced in `/healthz` and `/metrics`.
 
@@ -230,10 +231,10 @@ fn flat_reload_is_a_map_swap_and_failsafe() {
     assert_eq!(list[0].get("format").unwrap().as_str(), Some("flat+mmap"));
 
     // A corrupt flat file fails the reload; the old mapping keeps
-    // serving (degraded mode, stale header) exactly like the owned path.
-    // Corrupt via rename — the mmap contract is that live files are
-    // replaced atomically, never truncated in place (truncating a
-    // mapped inode would SIGBUS readers of the old generation).
+    // serving (degraded mode, stale header). Corrupt via rename — the
+    // mmap contract is that live files are replaced atomically, never
+    // truncated in place (truncating a mapped inode would SIGBUS
+    // readers of the old generation).
     let corrupt = dir.join("corrupt.tmp");
     std::fs::write(&corrupt, [0x41u8; 128]).unwrap();
     std::fs::rename(&corrupt, &path).unwrap();
@@ -251,46 +252,49 @@ fn flat_reload_is_a_map_swap_and_failsafe() {
 }
 
 #[test]
-fn mixed_formats_serve_side_by_side() {
-    let dir = temp_dir("mixed");
+fn owned_summaries_are_refused_at_load_and_reload() {
+    let dir = temp_dir("owned");
     let owned_path = dir.join("owned.cst");
-    let flat_path = dir.join("flat.flt");
-    let cst = build_cst(XML);
+    let flat_path = dir.join("main.flt");
+    let cst = write_flat_file(&flat_path, XML);
     let mut bytes = Vec::new();
     cst.write_to(&mut bytes).unwrap();
     std::fs::write(&owned_path, &bytes).unwrap();
-    flat_writer::write_file(&cst, &flat_path).unwrap();
 
+    // An owned file never enters the registry: the load error chains to
+    // the flat validator's bad-magic verdict.
     let registry = SummaryRegistry::new();
-    registry.load(SummarySpec { name: "owned".into(), path: owned_path }).unwrap();
-    registry.load(SummarySpec { name: "flat".into(), path: flat_path }).unwrap();
+    let err =
+        registry.load(SummarySpec { name: "owned".into(), path: owned_path.clone() }).unwrap_err();
+    let chain = twig_serve::error_chain(&err);
+    assert!(chain.contains("cannot load summary 'owned'"), "{chain}");
+    assert!(chain.contains("not a TWIGFLT1 flat summary"), "{chain}");
+    assert!(registry.is_empty());
+
+    // The same owned file renamed over a live flat entry fails the
+    // reload, and the old generation keeps serving the same bits.
+    registry.load(SummarySpec { name: "main".into(), path: flat_path.clone() }).unwrap();
     let server = TestServer::start(ServerConfig::default(), registry);
     let addr = &server.addr;
+    const BODY: &str =
+        r#"{"summary":"main","query":"book(author(\"AAA\"),year(\"1999\"))","algorithm":"mosh"}"#;
+    let response = post_json(addr, "/estimate", BODY);
+    assert_eq!(response.status, 200, "{}", response.body_text());
+    assert_eq!(response.header("x-twig-stale-generation"), None);
+    let before = Json::parse(&response.body_text()).unwrap().get("estimates").unwrap().render();
 
-    let body = Json::parse(&get(addr, "/summaries").body_text()).unwrap();
-    let list = body.get("summaries").unwrap().as_array().unwrap();
-    assert_eq!(list.len(), 2);
-    for info in list {
-        let expected = match info.get("name").unwrap().as_str().unwrap() {
-            "owned" => "owned",
-            _ => "flat+mmap",
-        };
-        assert_eq!(info.get("format").unwrap().as_str(), Some(expected));
-    }
+    std::fs::rename(&owned_path, &flat_path).unwrap();
+    let parsed = Json::parse(&post_json(addr, "/admin/reload", "").body_text()).unwrap();
+    assert_eq!(parsed.get("all_ok").unwrap(), &Json::Bool(false));
+    let entry = &parsed.get("reloaded").unwrap().as_array().unwrap()[0];
+    let error_text = entry.get("error").unwrap().as_str().unwrap();
+    assert!(error_text.contains("not a TWIGFLT1 flat summary"), "{error_text}");
 
-    // The same twig served from either summary yields the same bits:
-    // both registries host the same underlying statistics.
-    let estimate = |summary: &str| -> f64 {
-        let body = format!(
-            r#"{{"summary":"{summary}","query":"book(author(\"AAA\"),year(\"1999\"))","algorithm":"mosh"}}"#
-        );
-        let response = post_json(addr, "/estimate", &body);
-        assert_eq!(response.status, 200, "{}", response.body_text());
-        Json::parse(&response.body_text()).unwrap().get("estimates").unwrap().as_array().unwrap()[0]
-            .as_f64()
-            .unwrap()
-    };
-    assert_eq!(estimate("owned").to_bits(), estimate("flat").to_bits());
+    let response = post_json(addr, "/estimate", BODY);
+    assert_eq!(response.status, 200, "{}", response.body_text());
+    assert_eq!(response.header("x-twig-stale-generation"), Some("1"));
+    let after = Json::parse(&response.body_text()).unwrap().get("estimates").unwrap().render();
+    assert_eq!(after, before, "the old generation must keep serving");
 
     server.stop();
     std::fs::remove_dir_all(&dir).ok();
@@ -355,6 +359,35 @@ fn flat_snapshot_persists_and_recovers() {
     assert_eq!(served.to_bits(), expected.to_bits());
 
     server.stop();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn owned_snapshot_payload_is_never_served() {
+    let dir = temp_dir("owned-snapshot");
+    let path = dir.join("main.flt");
+    let state = dir.join("state");
+
+    // A store written before the server hosted only flat summaries: its
+    // committed generation is an owned (`TWIGCST`) payload.
+    let mut owned = Vec::new();
+    build_cst(XML).write_to(&mut owned).unwrap();
+    SnapshotStore::open(&state).unwrap().persist("main", 1, &owned).unwrap();
+
+    // The spec file is missing, and the owned payload is no stand-in:
+    // recovery reports the spec-file failure and serves nothing.
+    let registry = SummaryRegistry::new();
+    assert!(registry.attach_store(SnapshotStore::open(&state).unwrap()));
+    let err = registry
+        .load_or_recover(SummarySpec { name: "main".into(), path: path.clone() })
+        .unwrap_err();
+    assert_eq!(err.path, path);
+    let chain = twig_serve::error_chain(&err);
+    assert!(chain.contains("cannot load summary 'main'"), "{chain}");
+    assert!(chain.contains("flat summary I/O"), "{chain}");
+    assert!(registry.is_empty(), "an owned payload must never serve");
+    assert_eq!(registry.degraded(), 0);
+
     std::fs::remove_dir_all(&dir).ok();
 }
 

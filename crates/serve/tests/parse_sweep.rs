@@ -239,18 +239,27 @@ fn malformed_corpus_errors_are_split_stable() {
     }
 }
 
-/// A head that never terminates must flip to `HeadTooLarge` exactly
-/// when it exceeds the limit, at any arrival granularity.
+/// An over-limit head must flip to `HeadTooLarge` exactly when it
+/// exceeds the limit, at any arrival granularity — whether it never
+/// terminates or arrives terminated in one read.
 #[test]
 fn unterminated_head_grows_into_head_too_large() {
     let limits = limits();
-    let mut raw = b"GET /".to_vec();
-    raw.resize(raw.len() + 512, b'a');
-    for cut in 0..raw.len() {
-        match parse_request_bytes(&raw[..cut], &limits) {
-            Ok(Parsed::NeedMore) => assert!(cut <= limits.max_head_bytes, "cut {cut}"),
-            Err(ReadOutcome::HeadTooLarge) => assert!(cut > limits.max_head_bytes, "cut {cut}"),
-            other => panic!("cut {cut}: {other:?}"),
+    let mut unterminated = b"GET /".to_vec();
+    unterminated.resize(unterminated.len() + 512, b'a');
+    let mut terminated = b"GET /".to_vec();
+    terminated.resize(512 - b" HTTP/1.1\r\n\r\n".len(), b'a');
+    terminated.extend_from_slice(b" HTTP/1.1\r\n\r\n");
+    assert_eq!(terminated.len(), 512);
+    for raw in [unterminated, terminated] {
+        for cut in 0..=raw.len() {
+            match parse_request_bytes(&raw[..cut], &limits) {
+                Ok(Parsed::NeedMore) => assert!(cut <= limits.max_head_bytes, "cut {cut}"),
+                Err(ReadOutcome::HeadTooLarge) => {
+                    assert!(cut > limits.max_head_bytes, "cut {cut}");
+                }
+                other => panic!("cut {cut}: {other:?}"),
+            }
         }
     }
 }

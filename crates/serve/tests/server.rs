@@ -43,12 +43,20 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// Writes a flat summary of `xml` to `path`. The writer lands it by
+/// temp file + rename, so a reload swap never truncates a live mapping.
 fn write_summary_file(path: &Path, xml: &str) -> Cst {
     let cst = build_cst(xml);
-    let mut bytes = Vec::new();
-    cst.write_to(&mut bytes).unwrap();
-    std::fs::write(path, &bytes).unwrap();
+    twig_flat::writer::write_file(&cst, path).unwrap();
     cst
+}
+
+/// Replaces `path` with `bytes` by rename, never in place: a served
+/// summary is memory-mapped, and truncating a mapped file is a SIGBUS.
+fn replace_file(path: &Path, bytes: &[u8]) {
+    let tmp = path.with_extension("tmp");
+    std::fs::write(&tmp, bytes).unwrap();
+    std::fs::rename(&tmp, path).unwrap();
 }
 
 struct TestServer {
@@ -113,7 +121,7 @@ fn post_json(addr: &str, path: &str, body: &str) -> ClientResponse {
 }
 
 fn default_registry(dir: &Path) -> (SummaryRegistry, Cst) {
-    let path = dir.join("default.cst");
+    let path = dir.join("default.flt");
     let cst = write_summary_file(&path, XML);
     let registry = SummaryRegistry::new();
     registry.load(SummarySpec { name: "default".into(), path }).unwrap();
@@ -342,7 +350,7 @@ fn pipelined_burst_past_the_receive_cap_is_fully_served() {
 }
 
 #[test]
-fn full_receive_buffer_without_a_request_times_out_and_spares_the_reactor() {
+fn over_limit_head_with_owed_body_gets_431_and_spares_the_reactor() {
     let dir = temp_dir("pipeline-cap-stuck");
     let (registry, _cst) = default_registry(&dir);
     let config = ServerConfig {
@@ -353,10 +361,9 @@ fn full_receive_buffer_without_a_request_times_out_and_spares_the_reactor() {
     };
     let server = TestServer::start(config, registry);
 
-    // A head over the 16 KiB limit that arrives terminated in one read
-    // is framed, and with its declared body still owed, head and body
-    // outgrow the receive-buffer cap: nothing more may be read, and no
-    // request can be parsed.
+    // A head over the 16 KiB limit, terminated, with its declared body
+    // still owed: head and body together outgrow the receive-buffer
+    // cap, so the head limit must fire however the bytes arrive.
     let mut stuck = TcpStream::connect(&server.addr).unwrap();
     let mut wire = b"POST /estimate HTTP/1.1\r\ncontent-length: 1024\r\nx-pad: ".to_vec();
     wire.resize(33_000, b'a');
@@ -369,10 +376,9 @@ fn full_receive_buffer_without_a_request_times_out_and_spares_the_reactor() {
 
     // The single reactor keeps serving other connections...
     assert_eq!(get(&server.addr, "/healthz").status, 200);
-    // ...and the stuck request gets a typed error: a 408 at its read
-    // deadline, or a 431 when the head arrived split across reads.
+    // ...and the oversized request gets a typed 431.
     let response = read_response(&mut stuck, &client_limits()).unwrap();
-    assert!(matches!(response.status, 408 | 431), "{}", response.body_text());
+    assert_eq!(response.status, 431, "{}", response.body_text());
 
     server.stop();
     std::fs::remove_dir_all(&dir).ok();
@@ -453,7 +459,7 @@ fn saturation_yields_503_with_retry_after() {
 #[test]
 fn reload_swaps_and_is_failsafe() {
     let dir = temp_dir("reload");
-    let path = dir.join("main.cst");
+    let path = dir.join("main.flt");
     write_summary_file(&path, XML);
     let registry = SummaryRegistry::new();
     registry.load(SummarySpec { name: "main".into(), path: path.clone() }).unwrap();
@@ -496,7 +502,7 @@ fn reload_swaps_and_is_failsafe() {
     assert_eq!(after.to_bits(), expected.to_bits());
 
     // Corrupt the file: reload reports the failure, old summary serves.
-    std::fs::write(&path, [0x67u8; 64]).unwrap();
+    replace_file(&path, &[0x67u8; 64]);
     let response = post_json(addr, "/admin/reload", "");
     assert_eq!(response.status, 200);
     let parsed = Json::parse(&response.body_text()).unwrap();
@@ -548,7 +554,7 @@ fn loadgen_smoke_hits_the_server() {
 #[test]
 fn concurrent_estimates_during_reloads_never_mix_summaries() {
     let dir = temp_dir("concurrent");
-    let path = dir.join("main.cst");
+    let path = dir.join("main.flt");
     write_summary_file(&path, XML);
     let registry = SummaryRegistry::new();
     registry.load(SummarySpec { name: "main".into(), path: path.clone() }).unwrap();
@@ -637,7 +643,7 @@ fn concurrent_estimates_during_reloads_never_mix_summaries() {
 #[test]
 fn failed_reload_enters_degraded_mode_and_recovers() {
     let dir = temp_dir("degraded");
-    let path = dir.join("main.cst");
+    let path = dir.join("main.flt");
     write_summary_file(&path, XML);
     let registry = SummaryRegistry::new();
     registry.load(SummarySpec { name: "main".into(), path: path.clone() }).unwrap();
@@ -655,7 +661,7 @@ fn failed_reload_enters_degraded_mode_and_recovers() {
 
     // Corrupt the backing file: the failed reload keeps serving the old
     // generation but flips the entry into degraded mode.
-    std::fs::write(&path, b"not a summary").unwrap();
+    replace_file(&path, b"not a summary");
     let response = post_json(addr, "/admin/reload", "");
     assert_eq!(response.status, 200);
     let parsed = Json::parse(&response.body_text()).unwrap();
@@ -701,7 +707,7 @@ fn failed_reload_enters_degraded_mode_and_recovers() {
 #[test]
 fn snapshot_store_recovers_after_source_corruption() {
     let dir = temp_dir("snapshot-recover");
-    let path = dir.join("main.cst");
+    let path = dir.join("main.flt");
     let state = dir.join("state");
     let original = write_summary_file(&path, XML);
 
@@ -715,7 +721,7 @@ fn snapshot_store_recovers_after_source_corruption() {
 
     // Simulated crash: the source file is torn; only the snapshot
     // survives. Startup recovery serves it, marked stale.
-    std::fs::write(&path, [0u8; 16]).unwrap();
+    replace_file(&path, &[0u8; 16]);
     let registry = SummaryRegistry::new();
     assert!(registry.attach_store(SnapshotStore::open(&state).unwrap()));
     let outcome =
@@ -756,7 +762,7 @@ fn snapshot_store_recovers_after_source_corruption() {
 #[test]
 fn plan_cache_hits_repeated_twigs_and_reload_invalidates() {
     let dir = temp_dir("plancache");
-    let path = dir.join("main.cst");
+    let path = dir.join("main.flt");
     let original = write_summary_file(&path, XML);
     let registry = SummaryRegistry::new();
     registry.load(SummarySpec { name: "main".into(), path: path.clone() }).unwrap();

@@ -147,10 +147,11 @@ fn run_seed(world: &World, seed: u64) -> Result<(), String> {
 
 struct World {
     dir: PathBuf,
+    /// The served flat summary file.
     summary_path: PathBuf,
-    /// Pristine serialized summary bytes (for repairing deliberate
-    /// corruption between scenarios).
-    summary_bytes: Vec<u8>,
+    /// The built summary, re-packed to repair deliberate corruption
+    /// between scenarios.
+    cst: Cst,
     tree: DataTree,
 }
 
@@ -171,17 +172,17 @@ impl World {
             &CstConfig { budget: SpaceBudget::Threshold(2), ..CstConfig::default() },
         )
         .map_err(|e| format!("CST build failed: {e}"))?;
-        let mut summary_bytes = Vec::new();
-        cst.write_to(&mut summary_bytes).map_err(|e| format!("cannot serialize summary: {e}"))?;
-        let summary_path = dir.join("chaos.cst");
-        std::fs::write(&summary_path, &summary_bytes)
+        let summary_path = dir.join("chaos.flt");
+        twig_flat::writer::write_file(&cst, &summary_path)
             .map_err(|e| format!("cannot write summary: {e}"))?;
-        Ok(World { dir, summary_path, summary_bytes, tree })
+        Ok(World { dir, summary_path, cst, tree })
     }
 
-    /// Restores the pristine summary file (scenarios corrupt it).
+    /// Restores the pristine summary file (scenarios corrupt it). The
+    /// writer renames a fresh pack over the file, so a live mapping of
+    /// the corrupt one is never truncated.
     fn repair_summary(&self) -> Result<(), String> {
-        std::fs::write(&self.summary_path, &self.summary_bytes)
+        twig_flat::writer::write_file(&self.cst, &self.summary_path)
             .map_err(|e| format!("cannot repair summary: {e}"))
     }
 
@@ -535,9 +536,12 @@ fn scenario_kill_mid_write(world: &World, baseline: &Baseline, seed: u64) -> Res
     }
     drop(registry); // the "crash"
 
-    // Restart with the source summary file also corrupted: recovery
-    // must land on committed generation 1 and quarantine the torn file.
-    std::fs::write(&world.summary_path, b"definitely not a summary").map_err(|e| e.to_string())?;
+    // Restart with the source summary file also corrupted (replaced by
+    // rename, never truncated in place): recovery must land on
+    // committed generation 1 and quarantine the torn file.
+    let garbage = world.dir.join(format!("garbage-kill-{seed}.tmp"));
+    std::fs::write(&garbage, b"definitely not a summary").map_err(|e| e.to_string())?;
+    std::fs::rename(&garbage, &world.summary_path).map_err(|e| e.to_string())?;
     let restarted = SummaryRegistry::new();
     let store = SnapshotStore::open(&state_dir).map_err(|e| format!("{label}: {e}"))?;
     restarted.attach_store(store);
@@ -698,24 +702,22 @@ fn scenario_flat_mmap_hosting(world: &World, baseline: &Baseline, seed: u64) -> 
     let state_dir = world.dir.join(format!("state-flat-{seed}"));
     std::fs::create_dir_all(&state_dir).map_err(|e| e.to_string())?;
     let flat_path = world.dir.join(format!("chaos-{seed}.flt"));
-    let cst = Cst::read_from(&mut world.summary_bytes.as_slice())
-        .map_err(|e| format!("{label}: cannot deserialize summary: {e}"))?;
 
     // Kill mid-pack: the partial write dies before the rename, so a
     // torn container can never land at the final path; the retry lands.
     failpoint::configure("flat.pack=1*partial(41),off", seed).map_err(|e| e.to_string())?;
-    if twig_flat::writer::write_file(&cst, &flat_path).is_ok() {
+    if twig_flat::writer::write_file(&world.cst, &flat_path).is_ok() {
         return Err(format!("{label}: injected pack fault did not fire"));
     }
     failpoint::clear_all();
     if flat_path.exists() {
         return Err(format!("{label}: torn pack landed at the final path"));
     }
-    twig_flat::writer::write_file(&cst, &flat_path)
+    twig_flat::writer::write_file(&world.cst, &flat_path)
         .map_err(|e| format!("{label}: clean re-pack failed: {e}"))?;
 
     // The registry maps the container zero-copy and serves estimates
-    // bit-identical to the owned baseline.
+    // bit-identical to the fault-free baseline.
     let registry = SummaryRegistry::new();
     let store = SnapshotStore::open(&state_dir).map_err(|e| format!("{label}: {e}"))?;
     registry.attach_store(store);
