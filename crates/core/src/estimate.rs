@@ -9,7 +9,7 @@ use crate::cst::Cst;
 use crate::parse::{
     covers_query, greedy_pieces, maximal_in_range, maximal_pieces, piecewise_maximal_pieces, Piece,
 };
-use crate::plan::{LeafPathPlan, PlannedEstimator, QueryPlan};
+use crate::plan::QueryPlan;
 use crate::query::{CompiledQuery, Token};
 use crate::summary::Summary;
 use crate::twiglets::{mosh_twiglets, msh_twiglets};
@@ -61,7 +61,7 @@ impl Algorithm {
         matches!(self, Algorithm::Mosh | Algorithm::Pmosh | Algorithm::Msh)
     }
 
-    /// Position in [`Algorithm::ALL`] (the plan's per-algorithm slot).
+    /// Position in [`Algorithm::ALL`] (the plan's answer row).
     pub(crate) fn index(self) -> usize {
         match self {
             Algorithm::Leaf => 0,
@@ -119,11 +119,11 @@ impl Cst {
     /// The estimate before the sibling-multiplicity discount — the
     /// paper-literal combination result.
     ///
-    /// With `plan: Some(_)`, the kind-independent stages (compile, parse,
-    /// twiglet grouping) are read from — and on first use written into —
-    /// the [`QueryPlan`]; the plan must belong to this summary and this
-    /// twig. Both paths run the same build and run code, so the result is
-    /// bit-identical with and without a plan.
+    /// With `plan: Some(_)`, the answer is the [`QueryPlan`]'s
+    /// `(algorithm, kind)` slot, filled on first use by the plan-free
+    /// path, so a repeat runs no estimator and the result is bit-identical
+    /// with and without a plan. The plan must belong to this summary and
+    /// this twig: it answers for the pair of its first use.
     pub fn estimate_raw(
         &self,
         twig: &Twig,
@@ -202,10 +202,10 @@ pub fn estimate_summary<S: Summary>(
 }
 
 /// The estimate before the sibling-multiplicity discount — the generic
-/// form of [`Cst::estimate_raw`]. With `plan: Some(_)`, the
-/// kind-independent stages are read from — and on first use written into
-/// — the [`QueryPlan`]; both paths run the same code, so the result is
-/// bit-identical with and without a plan.
+/// form of [`Cst::estimate_raw`]. With `plan: Some(_)`, the answer is the
+/// [`QueryPlan`]'s `(algorithm, kind)` slot, filled on first use by the
+/// plan-free path, so the result is bit-identical with and without a
+/// plan; the plan must belong to this summary and this twig.
 pub fn estimate_raw_summary<S: Summary>(
     summary: &S,
     twig: &Twig,
@@ -215,16 +215,9 @@ pub fn estimate_raw_summary<S: Summary>(
 ) -> f64 {
     match plan {
         Some(plan) => {
-            let query = plan.compiled_or_init(|| CompiledQuery::compile(summary, twig));
-            let planned = plan
-                .estimator_or_init(algorithm, || build_estimator(summary, twig, query, algorithm));
-            run_estimator(summary, query, planned, kind)
+            plan.answer_or_init(algorithm, kind, || compute_raw(summary, twig, algorithm, kind))
         }
-        None => {
-            let query = CompiledQuery::compile(summary, twig);
-            let planned = build_estimator(summary, twig, &query, algorithm);
-            run_estimator(summary, &query, &planned, kind)
-        }
+        None => compute_raw(summary, twig, algorithm, kind),
     }
 }
 
@@ -281,37 +274,24 @@ pub fn sibling_discount_summary<S: Summary>(summary: &S, twig: &Twig) -> f64 {
     discount
 }
 
-/// Builds the kind-independent stages of one algorithm: compile-time
-/// walks, piece parsing, twiglet grouping, element assembly. This is the
-/// stage a [`QueryPlan`] memoizes.
-pub(crate) fn build_estimator<S: Summary>(
-    cst: &S,
-    twig: &Twig,
-    query: &CompiledQuery,
-    algorithm: Algorithm,
-) -> PlannedEstimator {
-    match algorithm {
-        Algorithm::Leaf => PlannedEstimator::Leaf(build_leaf_paths(cst, query)),
-        Algorithm::Greedy => PlannedEstimator::Greedy(greedy_pieces(cst, query)),
+/// Runs `algorithm` from scratch: compile the twig against the summary,
+/// parse and group its pieces, combine over the counts of `kind`. The
+/// plan-free path and a plan's first fill both run exactly this.
+fn compute_raw<S: Summary>(cst: &S, twig: &Twig, algorithm: Algorithm, kind: CountKind) -> f64 {
+    let query = &CompiledQuery::compile(cst, twig);
+    let elements = match algorithm {
+        Algorithm::Leaf => return run_leaf(cst, query, kind),
+        Algorithm::Greedy => return run_greedy(cst, greedy_pieces(cst, query).as_deref(), kind),
         Algorithm::PureMo => {
             let pieces = maximal_pieces(cst, query);
-            if !covers_query(query, &pieces) {
-                return PlannedEstimator::Elements(None);
-            }
-            let elements = pieces.into_iter().map(Element::Single).collect();
-            PlannedEstimator::Elements(Some(elements))
+            covers_query(query, &pieces).then(|| pieces.into_iter().map(Element::Single).collect())
         }
-        Algorithm::Mosh => {
-            PlannedEstimator::Elements(mosh_elements(query, maximal_pieces(cst, query)))
-        }
-        Algorithm::Pmosh => PlannedEstimator::Elements(mosh_elements(
-            query,
-            piecewise_maximal_pieces(cst, query, twig),
-        )),
+        Algorithm::Mosh => mosh_elements(query, maximal_pieces(cst, query)),
+        Algorithm::Pmosh => mosh_elements(query, piecewise_maximal_pieces(cst, query, twig)),
         Algorithm::Msh => {
             let pieces = maximal_pieces(cst, query);
             if !covers_query(query, &pieces) {
-                return PlannedEstimator::Elements(None);
+                return 0.0;
             }
             let twiglets = msh_twiglets(cst, query, &pieces);
             // MSH keeps the full maximal pieces alongside the suffix
@@ -331,8 +311,13 @@ pub(crate) fn build_estimator<S: Summary>(
                 .map(Element::Single)
                 .collect();
             elements.extend(twiglets.into_iter().map(Element::Group));
-            PlannedEstimator::Elements(Some(elements))
+            Some(elements)
         }
+    };
+    // No elements: the parse does not cover the query (estimate 0).
+    match elements {
+        Some(elements) => combine(cst, query, &elements, kind),
+        None => 0.0,
     }
 }
 
@@ -352,28 +337,15 @@ fn mosh_elements(query: &CompiledQuery, pieces: Vec<Piece>) -> Option<Vec<Elemen
     Some(elements)
 }
 
-/// Runs the count-dependent stage over a built estimator — the only work
-/// a plan-cache hit re-does per estimate.
-pub(crate) fn run_estimator<S: Summary>(
-    cst: &S,
-    query: &CompiledQuery,
-    planned: &PlannedEstimator,
-    kind: CountKind,
-) -> f64 {
-    match planned {
-        PlannedEstimator::Leaf(paths) => run_leaf(cst, query, paths, kind),
-        PlannedEstimator::Greedy(pieces) => run_greedy(cst, pieces.as_deref(), kind),
-        PlannedEstimator::Elements(None) => 0.0,
-        PlannedEstimator::Elements(Some(elements)) => combine(cst, query, elements, kind),
+/// The Leaf baseline: per value leaf, MO-estimate the leaf string from
+/// pure string-fragment statistics, multiply the per-leaf probabilities.
+fn run_leaf<S: Summary>(cst: &S, query: &CompiledQuery, kind: CountKind) -> f64 {
+    let n = count_to_f64(cst.n());
+    if n == 0.0 {
+        return 0.0;
     }
-}
-
-/// The parse stage of the Leaf baseline: per value path, the maximal
-/// parse of the value char range.
-fn build_leaf_paths<S: Summary>(cst: &S, query: &CompiledQuery) -> Vec<LeafPathPlan> {
-    let mut plans = Vec::new();
-    for path in 0..query.paths.len() {
-        let qpath = &query.paths[path];
+    let mut result = n;
+    for (path, qpath) in query.paths.iter().enumerate() {
         // The value char range, if this path ends in a value leaf.
         let Some(first_char) =
             qpath.tokens.iter().position(|t| matches!(t, Token::Ok(PathToken::Char(_))))
@@ -381,31 +353,10 @@ fn build_leaf_paths<S: Summary>(cst: &S, query: &CompiledQuery) -> Vec<LeafPathP
             continue;
         };
         let len = qpath.tokens.len();
-        let pieces = maximal_in_range(cst, query, path, first_char, len);
-        plans.push(LeafPathPlan { path, first_char, len, pieces });
-    }
-    plans
-}
-
-/// The Leaf baseline: per value leaf, MO-estimate the leaf string from
-/// pure string-fragment statistics, multiply the per-leaf probabilities.
-fn run_leaf<S: Summary>(
-    cst: &S,
-    query: &CompiledQuery,
-    paths: &[LeafPathPlan],
-    kind: CountKind,
-) -> f64 {
-    let n = count_to_f64(cst.n());
-    if n == 0.0 {
-        return 0.0;
-    }
-    let mut result = n;
-    for plan in paths {
-        let qpath = &query.paths[plan.path];
         // Coverage of the string.
-        let mut covered_to = plan.first_char;
+        let mut covered_to = first_char;
         let mut prob = 1.0;
-        for piece in &plan.pieces {
+        for piece in &maximal_in_range(cst, query, path, first_char, len) {
             if piece.start > covered_to {
                 return 0.0; // gap: fragment below threshold
             }
@@ -443,7 +394,7 @@ fn run_leaf<S: Summary>(
             prob *= count / denom;
             covered_to = piece.end;
         }
-        if covered_to < plan.len {
+        if covered_to < len {
             return 0.0;
         }
         result *= prob;

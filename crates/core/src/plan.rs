@@ -1,80 +1,107 @@
-//! Memoized per-query estimation plans.
+//! Memoized per-query answers.
 //!
-//! Estimating the same twig repeatedly (the optimizer-inner-loop case
-//! the paper targets) re-does a lot of kind-independent work: compiling
-//! the twig against the summary's interner, walking its subpaths through
-//! the trie, parsing maximal pieces, and grouping twiglets. A
-//! [`QueryPlan`] memoizes exactly those stages, per algorithm, so only
-//! the cheap count-dependent combination runs per estimate.
+//! Every input of an estimate — the compiled twig, its parse and
+//! twiglets, the summary counts the combination reads — is a constant of
+//! the `(summary, twig)` pair, so a [`QueryPlan`] memoizes the answer
+//! itself: twelve slots, one per (algorithm, count kind). An optimizer
+//! re-asking the same predicate reads its slot and runs no estimator.
 //!
-//! A plan is *passive*: it caches nothing until
-//! [`Cst::estimate_raw`](crate::Cst::estimate_raw) is handed one, and
-//! the cached stages are produced by the same code the plan-free path
-//! runs — estimates are bit-identical with and without a plan. A plan is
-//! only meaningful for the `(summary, twig)` pair it was first used
-//! with; callers (the serve plan cache) key plans by canonical twig text
-//! plus summary generation and drop them on reload.
+//! A plan is *passive*: a slot fills on first use by
+//! [`Cst::estimate_raw`](crate::Cst::estimate_raw) running the plan-free
+//! path, so estimates are bit-identical with and without a plan. A plan
+//! belongs to the `(summary, twig)` pair of its first use; the serve plan
+//! cache keys it by summary name, reload generation and raw request text,
+//! and clears it on reload. Within that pair an answer cannot go stale:
+//! summaries are read-only, and the flat form checks a section's checksum
+//! before its first read and pins a failed section empty for good.
 
 use std::sync::OnceLock;
 
-use crate::combine::Element;
-use crate::estimate::Algorithm;
-use crate::parse::Piece;
-use crate::query::CompiledQuery;
+use crate::estimate::{Algorithm, CountKind};
 
-/// The memoized kind-independent stages of one algorithm.
-#[derive(Debug)]
-pub(crate) enum PlannedEstimator {
-    /// Per value-leaf-path plans for the Leaf baseline.
-    Leaf(Vec<LeafPathPlan>),
-    /// Greedy parse; `None` when a token failed to match (estimate 0).
-    Greedy(Option<Vec<Piece>>),
-    /// Combination elements for the MO-family algorithms; `None` when
-    /// the parse does not cover the query (estimate 0).
-    Elements(Option<Vec<Element>>),
-}
-
-/// One value path's parsed fragments for the Leaf baseline.
-#[derive(Debug)]
-pub(crate) struct LeafPathPlan {
-    /// Index into [`CompiledQuery::paths`].
-    pub(crate) path: usize,
-    /// First value-character token of the path.
-    pub(crate) first_char: usize,
-    /// Token count of the path.
-    pub(crate) len: usize,
-    /// Maximal parse of the value range.
-    pub(crate) pieces: Vec<Piece>,
-}
-
-/// A lazily filled estimation plan for one `(summary, twig)` pair.
+/// The memoized answers for one `(summary, twig)` pair.
 ///
-/// Thread-safe: the cells are [`OnceLock`]s, so a plan shared behind an
-/// `Arc` across server workers fills each stage exactly once and serves
-/// concurrent readers lock-free afterwards.
+/// Thread-safe: the slots are [`OnceLock`]s, so a plan shared behind an
+/// `Arc` across server workers computes each answer exactly once and
+/// serves concurrent readers lock-free afterwards.
 #[derive(Debug, Default)]
 pub struct QueryPlan {
-    compiled: OnceLock<CompiledQuery>,
-    estimators: [OnceLock<PlannedEstimator>; 6],
+    /// Rows in [`Algorithm::ALL`] order; columns presence, occurrence.
+    answers: [[OnceLock<f64>; 2]; 6],
 }
 
 impl QueryPlan {
-    /// An empty plan; stages fill on first use by
+    /// An empty plan; answers fill on first use by
     /// [`Cst::estimate_raw`](crate::Cst::estimate_raw).
     #[must_use]
     pub fn new() -> QueryPlan {
         QueryPlan::default()
     }
 
-    pub(crate) fn compiled_or_init(&self, init: impl FnOnce() -> CompiledQuery) -> &CompiledQuery {
-        self.compiled.get_or_init(init)
-    }
-
-    pub(crate) fn estimator_or_init(
+    /// The answer for `(algorithm, kind)`, computed by `init` on the
+    /// slot's first use.
+    pub(crate) fn answer_or_init(
         &self,
         algorithm: Algorithm,
-        init: impl FnOnce() -> PlannedEstimator,
-    ) -> &PlannedEstimator {
-        self.estimators[algorithm.index()].get_or_init(init)
+        kind: CountKind,
+        init: impl FnOnce() -> f64,
+    ) -> f64 {
+        let column = match kind {
+            CountKind::Presence => 0,
+            CountKind::Occurrence => 1,
+        };
+        *self.answers[algorithm.index()][column].get_or_init(init)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::Cell;
+
+    use twig_util::cast::size_to_f64;
+
+    use super::*;
+
+    const KINDS: [CountKind; 2] = [CountKind::Presence, CountKind::Occurrence];
+
+    #[test]
+    fn each_slot_runs_its_init_once() {
+        let plan = QueryPlan::new();
+        let runs = Cell::new(0);
+        for (row, algorithm) in Algorithm::ALL.into_iter().enumerate() {
+            for (column, kind) in KINDS.into_iter().enumerate() {
+                let answer = size_to_f64(row * 2 + column);
+                let fill = || {
+                    runs.set(runs.get() + 1);
+                    answer
+                };
+                assert_eq!(plan.answer_or_init(algorithm, kind, fill), answer);
+                let repeat = plan.answer_or_init(algorithm, kind, || {
+                    panic!("{algorithm} {kind:?}: a filled slot must not run its init")
+                });
+                assert_eq!(repeat, answer);
+            }
+        }
+        assert_eq!(runs.get(), 12, "one init per (algorithm, kind) slot");
+    }
+
+    /// Covers the same algorithm with the other kind (MSH presence) and
+    /// the same kind with every other algorithm.
+    #[test]
+    fn filling_one_slot_leaves_the_other_eleven_empty() {
+        let plan = QueryPlan::new();
+        plan.answer_or_init(Algorithm::Msh, CountKind::Occurrence, || 1.0);
+        let runs = Cell::new(0);
+        for algorithm in Algorithm::ALL {
+            for kind in KINDS {
+                let answer = plan.answer_or_init(algorithm, kind, || {
+                    runs.set(runs.get() + 1);
+                    2.0
+                });
+                let filled = (algorithm, kind) == (Algorithm::Msh, CountKind::Occurrence);
+                assert_eq!(answer, if filled { 1.0 } else { 2.0 }, "{algorithm} {kind:?}");
+            }
+        }
+        assert_eq!(runs.get(), 11);
     }
 }

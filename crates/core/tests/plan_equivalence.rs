@@ -1,7 +1,7 @@
 //! Plan-path equivalence: `estimate_raw` with a memoized [`QueryPlan`]
 //! must be bit-for-bit identical to the plan-free path, for every
 //! algorithm, count kind, and query shape — including the repeated-twig
-//! case where every stage is served from the plan's caches.
+//! case where the answer is read back from the plan's table.
 
 use twig_core::{Algorithm, CountKind, Cst, CstConfig, QueryPlan, SpaceBudget};
 use twig_datagen::{
@@ -36,8 +36,8 @@ fn workload(tree: &DataTree, seed: u64) -> Vec<Twig> {
 
 /// Seed sweep: N random twigs x 6 algorithms x both count kinds, the
 /// plan path compared bit-for-bit against the plan-free path — on the
-/// first use of the plan (cold fill) and on a repeat (every stage
-/// served memoized).
+/// first use of the plan (cold fill) and on a repeat (the memoized
+/// answer).
 #[test]
 fn planned_estimates_are_bit_identical_to_plan_free() {
     for threshold in [1, 4] {

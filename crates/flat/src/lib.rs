@@ -125,7 +125,9 @@ impl AnySummary {
         }
     }
 
-    /// Raw (undiscounted) estimate, optionally through a cached plan.
+    /// Raw (undiscounted) estimate. With a plan, a repeat returns the
+    /// answer its first use memoized; the plan must belong to this
+    /// summary and `twig`.
     pub fn estimate_raw(
         &self,
         twig: &Twig,

@@ -484,8 +484,9 @@ impl FlatCst {
         estimate_summary(self, twig, algorithm, kind)
     }
 
-    /// Raw (undiscounted) estimate, optionally through a cached plan —
-    /// `Cst::estimate_raw`, over the mapped bytes.
+    /// Raw (undiscounted) estimate — `Cst::estimate_raw`, over the
+    /// mapped bytes. With a plan, a repeat returns the answer its first
+    /// use memoized; the plan must belong to this summary and `twig`.
     pub fn estimate_raw(
         &self,
         twig: &Twig,

@@ -5,19 +5,21 @@
 //! predicates. A [`PlanCache`] keeps the parsed [`Twig`] and one
 //! [`twig_core::QueryPlan`] (plus the memoized sibling discount) per
 //! `(summary, generation, query text)` key, so a repeated query skips
-//! twig parsing, compilation, trie walking and twiglet grouping
-//! entirely and only re-runs the cheap combination. Keys use the raw
+//! every stage of the estimate: the plan returns the answer its first
+//! use computed for that algorithm and count kind. Keys use the raw
 //! request text (not the canonical twig rendering): building a key
 //! must not require a parse, or the parse would be back on the hit
 //! path. Whitespace variants of one twig therefore occupy separate
 //! entries — a capacity nuance, not a correctness one.
 //!
-//! The cache is sharded (one mutex per shard, key-hashed) so workers
-//! rarely contend, and bounded per shard with least-recently-probed
-//! eviction. Keys embed the registry generation: a reload bumps the
-//! generation, so stale plans can never serve a swapped summary — the
-//! reload handler additionally clears the cache to release memory.
+//! A memoized answer is only right for the summary and twig it was
+//! computed on. Keys embed the registry generation: a reload bumps the
+//! generation, so a plan can never serve a swapped summary — the reload
+//! handler additionally clears the cache to release memory. The cache
+//! is sharded (one mutex per shard, key-hashed) so workers rarely
+//! contend, and bounded per shard with least-recently-probed eviction.
 
+use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use twig_core::QueryPlan;
@@ -30,8 +32,9 @@ use twig_util::FxHashMap;
 /// miss every time.
 pub(crate) const PLAN_CACHE_CAPACITY: usize = 1024;
 
-/// One cached fast path: the parsed twig, the lazily filled plan and
-/// the memoized sibling-injectivity discount for the same query text.
+/// One cached fast path for one query text on one summary generation:
+/// the parsed twig, its plan of memoized answers and its memoized
+/// sibling-injectivity discount.
 pub(crate) struct CachedPlan {
     pub(crate) twig: Twig,
     pub(crate) plan: QueryPlan,
@@ -63,10 +66,20 @@ impl PlanCache {
         }
     }
 
-    /// The cache key: registry name, reload generation, raw query
-    /// text. The generation component makes reloads self-invalidating.
-    pub(crate) fn key(summary: &str, generation: u64, query_text: &str) -> String {
-        format!("{summary}@{generation}:{query_text}")
+    /// Writes the cache key — registry name, reload generation, raw
+    /// query text — over `buf`. The generation makes reloads
+    /// self-invalidating; a buffer reused across a batch keeps a hit
+    /// from allocating.
+    pub(crate) fn key<'k>(
+        buf: &'k mut String,
+        summary: &str,
+        generation: u64,
+        query_text: &str,
+    ) -> &'k str {
+        buf.clear();
+        // Writing to a `String` cannot fail.
+        let _ = write!(buf, "{summary}@{generation}:{query_text}");
+        buf
     }
 
     /// Returns the cached entry for `key`, bumping its recency stamp.
@@ -174,9 +187,11 @@ mod tests {
     #[test]
     fn generation_in_key_separates_entries() {
         let cache = PlanCache::new(4, 64);
-        cache.insert(&PlanCache::key("default", 1, "a(b)"), twig());
+        let mut buf = String::new();
+        cache.insert(PlanCache::key(&mut buf, "default", 1, "a(b)"), twig());
+        assert_eq!(buf, "default@1:a(b)");
         assert!(
-            cache.lookup(&PlanCache::key("default", 2, "a(b)")).is_none(),
+            cache.lookup(PlanCache::key(&mut buf, "default", 2, "a(b)")).is_none(),
             "a reload generation must never hit old plans"
         );
     }

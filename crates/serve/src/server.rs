@@ -636,11 +636,13 @@ fn handle_estimate(request: &Request, state: &Arc<ServerState>) -> Response {
     // i must fail the whole batch with no partial work): each query is
     // a shared cache entry whose twig was parsed the first time this
     // text was seen — the plan cache is keyed by raw request text
-    // exactly so a hit skips `Twig::parse` entirely.
+    // exactly so a hit skips `Twig::parse` entirely. One key buffer
+    // serves the whole batch.
     let mut queries = Vec::with_capacity(query_texts.len());
+    let mut key_buf = String::new();
     for (index, text) in query_texts.iter().enumerate() {
-        let key = PlanCache::key(summary_name, generation, text);
-        if let Some(cached) = state.plans.lookup(&key) {
+        let key = PlanCache::key(&mut key_buf, summary_name, generation, text);
+        if let Some(cached) = state.plans.lookup(key) {
             state.metrics.plan_cache_hits_total.inc();
             queries.push(cached);
             continue;
@@ -648,7 +650,7 @@ fn handle_estimate(request: &Request, state: &Arc<ServerState>) -> Response {
         state.metrics.plan_cache_misses_total.inc();
         match Twig::parse(text) {
             Ok(query) => {
-                let (cached, evicted) = state.plans.insert(&key, query);
+                let (cached, evicted) = state.plans.insert(key, query);
                 if evicted {
                     state.metrics.plan_cache_evictions_total.inc();
                 }
@@ -668,7 +670,7 @@ fn handle_estimate(request: &Request, state: &Arc<ServerState>) -> Response {
     for cached in &queries {
         let started = Instant::now();
         let estimate = {
-            // The stages `cst.estimate(...)` runs, memoized: the product
+            // `cst.estimate(...)` with both factors memoized: the product
             // below is bit-identical to it.
             let raw = cst.estimate_raw(&cached.twig, algorithm, kind, Some(&cached.plan));
             let discount = *cached.discount.get_or_init(|| cst.sibling_discount(&cached.twig));
