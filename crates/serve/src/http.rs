@@ -6,8 +6,13 @@
 //! integration tests):
 //!
 //! - request/status line + headers, terminated by a blank line,
-//! - bodies framed by `Content-Length` (the server never sends chunked),
-//! - keep-alive by default (HTTP/1.1), `Connection: close` honored,
+//! - bodies framed by one `Content-Length` of ASCII digits only: a sign,
+//!   a list or a second `Content-Length` header is malformed, so two
+//!   hops can never disagree on where a request ends (the server never
+//!   sends chunked),
+//! - `Connection` read as a comma-separated token list: HTTP/1.1 keeps
+//!   the connection open unless a token is `close`, HTTP/1.0 only when
+//!   one is `keep-alive` (RFC 9112 §9.3),
 //! - hard limits on header and body size,
 //! - client-side deadlines: the blocking response reader runs its
 //!   socket with a short read timeout and checks the idle and read
@@ -19,6 +24,10 @@
 //! loses data. That is what makes HTTP/1.1 pipelining work: bytes past
 //! one complete request stay in the buffer and frame the next one. The
 //! reactor feeds it whatever each nonblocking read delivered.
+//!
+//! A [`Response`] writes its head straight into the caller's buffer, with
+//! `write!` for the status and length, so encoding allocates nothing
+//! beyond what the buffer grows by.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -98,6 +107,8 @@ pub struct Request {
     pub headers: Vec<(String, String)>,
     /// The body (empty when no `Content-Length`).
     pub body: Vec<u8>,
+    /// Whether the request line said `HTTP/1.0` rather than `HTTP/1.1`.
+    pub http_1_0: bool,
 }
 
 impl Request {
@@ -107,13 +118,19 @@ impl Request {
         self.headers.iter().find(|(n, _)| n == name).map(|(_, v)| v.as_str())
     }
 
-    /// Whether the connection should be kept open after responding.
+    /// Whether the connection should be kept open after responding:
+    /// HTTP/1.1 persists unless a `Connection` token is `close`, HTTP/1.0
+    /// only when one is `keep-alive`.
     #[must_use]
     pub fn keep_alive(&self) -> bool {
-        match self.header("connection") {
-            Some(value) => !value.eq_ignore_ascii_case("close"),
-            None => true, // HTTP/1.1 default
-        }
+        let listed = |token: &str| {
+            self.headers
+                .iter()
+                .filter(|(name, _)| name == "connection")
+                .flat_map(|(_, value)| value.split(','))
+                .any(|item| item.trim().eq_ignore_ascii_case(token))
+        };
+        !listed("close") && (!self.http_1_0 || listed("keep-alive"))
     }
 
     /// The path portion of the target (query string stripped).
@@ -279,9 +296,11 @@ pub fn parse_request_bytes(buffer: &[u8], limits: &Limits) -> Result<Parsed, Rea
         (Some(m), Some(t), Some(v), None) if !m.is_empty() && !t.is_empty() => (m, t, v),
         _ => return Err(ReadOutcome::Malformed("bad request line")),
     };
-    if version != "HTTP/1.1" && version != "HTTP/1.0" {
-        return Err(ReadOutcome::Malformed("unsupported HTTP version"));
-    }
+    let http_1_0 = match version {
+        "HTTP/1.1" => false,
+        "HTTP/1.0" => true,
+        _ => return Err(ReadOutcome::Malformed("unsupported HTTP version")),
+    };
     let mut headers = Vec::new();
     for line in lines {
         let Some((name, value)) = line.split_once(':') else {
@@ -289,14 +308,22 @@ pub fn parse_request_bytes(buffer: &[u8], limits: &Limits) -> Result<Parsed, Rea
         };
         headers.push((name.trim().to_ascii_lowercase(), value.trim().to_owned()));
     }
-    let mut request =
-        Request { method: method.to_owned(), target: target.to_owned(), headers, body: Vec::new() };
-    let length = match request.header("content-length") {
-        None => 0,
-        Some(text) => match text.parse::<usize>() {
-            Ok(length) => length,
-            Err(_) => return Err(ReadOutcome::Malformed("bad content-length")),
-        },
+    let mut request = Request {
+        method: method.to_owned(),
+        target: target.to_owned(),
+        headers,
+        body: Vec::new(),
+        http_1_0,
+    };
+    let mut lengths = request.headers.iter().filter(|(name, _)| name == "content-length");
+    let length = match (lengths.next(), lengths.next()) {
+        (None, _) => 0,
+        (Some(_), Some(_)) => return Err(ReadOutcome::Malformed("duplicate content-length")),
+        // Digits only: `usize::from_str` would also take a leading `+`.
+        (Some((_, text)), None) if text.bytes().all(|byte| byte.is_ascii_digit()) => {
+            text.parse::<usize>().map_err(|_| ReadOutcome::Malformed("bad content-length"))?
+        }
+        (Some(_), None) => return Err(ReadOutcome::Malformed("bad content-length")),
     };
     if length > limits.max_body_bytes {
         return Err(ReadOutcome::BodyTooLarge { declared: length });
@@ -360,9 +387,13 @@ impl Response {
         self
     }
 
-    /// Renders the head (status line through blank line) as a string.
-    fn head_string(&self, close: bool) -> String {
-        let mut head = format!(
+    /// Appends just the head's wire form (status line through blank
+    /// line) to `out`; the reactor's write queue splices large bodies in
+    /// as their own vectored segment.
+    pub(crate) fn encode_head_into(&self, out: &mut Vec<u8>, close: bool) {
+        // Writing into a Vec cannot fail.
+        let _ = write!(
+            out,
             "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n",
             self.status,
             reason(self.status),
@@ -371,19 +402,12 @@ impl Response {
             if close { "close" } else { "keep-alive" },
         );
         for (name, value) in &self.headers {
-            head.push_str(name);
-            head.push_str(": ");
-            head.push_str(value);
-            head.push_str("\r\n");
+            out.extend_from_slice(name.as_bytes());
+            out.extend_from_slice(b": ");
+            out.extend_from_slice(value.as_bytes());
+            out.extend_from_slice(b"\r\n");
         }
-        head.push_str("\r\n");
-        head
-    }
-
-    /// Appends just the head's wire form to `out` (the reactor's write
-    /// queue splices large bodies in as their own vectored segment).
-    pub(crate) fn encode_head_into(&self, out: &mut Vec<u8>, close: bool) {
-        out.extend_from_slice(self.head_string(close).as_bytes());
+        out.extend_from_slice(b"\r\n");
     }
 
     /// Appends the full wire form (head + body) to `out`.
@@ -392,27 +416,27 @@ impl Response {
     /// per-connection write buffer and flushes on writability; pipelined
     /// responses simply append in order.
     pub fn encode_into(&self, out: &mut Vec<u8>, close: bool) {
-        out.extend_from_slice(self.head_string(close).as_bytes());
+        self.encode_head_into(out, close);
         out.extend_from_slice(&self.body);
     }
 
     /// Serializes the response to `stream`. `close` controls the
     /// `Connection` header.
     pub fn write_to(&self, stream: &mut TcpStream, close: bool) -> io::Result<()> {
-        let head = self.head_string(close);
+        let mut head = Vec::new();
+        self.encode_head_into(&mut head, close);
         if let Some(fault) = twig_util::failpoint!("http.write") {
             if let twig_util::failpoint::Fault::Partial(keep_percent) = fault {
                 // Write a prefix of the head, then fail: the client
                 // sees a torn response on a closed socket.
-                let bytes = head.as_bytes();
                 let cap = usize::try_from(keep_percent).unwrap_or(100).min(100);
-                if let Some((torn, _rest)) = bytes.split_at_checked(bytes.len() * cap / 100) {
+                if let Some((torn, _rest)) = head.split_at_checked(head.len() * cap / 100) {
                     let _ = stream.write_all(torn);
                 }
             }
             return Err(injected("http.write"));
         }
-        stream.write_all(head.as_bytes())?;
+        stream.write_all(&head)?;
         stream.write_all(&self.body)?;
         stream.flush()
     }
@@ -567,6 +591,7 @@ pub fn read_response_pipelined(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
     use std::net::TcpListener;
 
     /// Loopback pair: returns (client, server) connected streams.
@@ -597,6 +622,42 @@ mod tests {
         assert_eq!(parsed.body_text(), "hello");
         assert_eq!(parsed.header("retry-after"), Some("1"));
         assert_eq!(parsed.header("connection"), Some("keep-alive"));
+    }
+
+    #[test]
+    fn every_encoder_writes_the_golden_bytes() {
+        let cases: [(Response, bool, &[u8]); 2] = [
+            (
+                Response::json(200, &Json::Arr(vec![Json::Num(0.25)]))
+                    .with_header("x-twig-stale-generation", "7".into()),
+                false,
+                b"HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: 6\r\n\
+                  connection: keep-alive\r\nx-twig-stale-generation: 7\r\n\r\n[0.25]",
+            ),
+            (
+                Response::text(503, "busy").with_header("retry-after", "1".into()),
+                true,
+                b"HTTP/1.1 503 Service Unavailable\r\ncontent-type: text/plain; charset=utf-8\r\n\
+                  content-length: 4\r\nconnection: close\r\nretry-after: 1\r\n\r\nbusy",
+            ),
+        ];
+        for (response, close, golden) in cases {
+            let mut whole = b"queued".to_vec();
+            response.encode_into(&mut whole, close);
+            assert_eq!(whole.strip_prefix(b"queued"), Some(golden));
+
+            let mut spliced = Vec::new();
+            response.encode_head_into(&mut spliced, close);
+            spliced.extend_from_slice(&response.body);
+            assert_eq!(spliced, golden);
+
+            let (mut client, mut server) = pair();
+            response.write_to(&mut server, close).unwrap();
+            drop(server);
+            let mut written = Vec::new();
+            client.read_to_end(&mut written).unwrap();
+            assert_eq!(written, golden);
+        }
     }
 
     #[test]

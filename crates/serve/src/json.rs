@@ -8,8 +8,18 @@
 //! decimal that round-trips — this is what makes served estimates
 //! *bit-identical* to offline `twig estimate` values after the client
 //! parses them back.
+//!
+//! Every request body passes through this codec, so both directions
+//! copy in bulk. The parser sizes each decoded string once, from a scan
+//! to its closing quote (unescaping never lengthens text), then copies
+//! each run that needs no unescaping with one `push_str`. A run ends at
+//! `"`, `\` or a raw control byte, all ASCII, so both of its ends are
+//! char boundaries of the `&str` input and no character is validated
+//! twice. The serializer copies unescaped runs the same way, sizes its
+//! output from a walk of the value, and writes numbers and `\u`
+//! escapes with `write!` straight into the output.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,7 +64,7 @@ impl Json {
     /// Parses `text` as a single JSON value (trailing whitespace allowed,
     /// trailing garbage rejected).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut parser = Parser { bytes: text.as_bytes(), at: 0 };
+        let mut parser = Parser { text, bytes: text.as_bytes(), at: 0 };
         parser.skip_ws();
         let value = parser.value(0)?;
         parser.skip_ws();
@@ -109,9 +119,34 @@ impl Json {
     /// Renders the value as compact JSON text.
     #[must_use]
     pub fn render(&self) -> String {
-        let mut out = String::new();
+        let mut out = String::with_capacity(rendered_len_guess(self));
         render_into(self, &mut out);
         out
+    }
+}
+
+/// Rendered bytes a number is guessed to take: enough for the shortest
+/// round-trip form of a typical estimate.
+const NUM_LEN_GUESS: usize = 24;
+
+/// About the rendered length of `value`, so `render` usually allocates
+/// once: numbers count [`NUM_LEN_GUESS`] bytes and escapes one byte.
+fn rendered_len_guess(value: &Json) -> usize {
+    match value {
+        Json::Null | Json::Bool(true) => 4,
+        Json::Bool(false) => 5,
+        Json::Num(_) => NUM_LEN_GUESS,
+        Json::Str(s) => s.len() + 2,
+        Json::Arr(items) => {
+            items.iter().map(|item| rendered_len_guess(item) + 1).sum::<usize>() + 2
+        }
+        Json::Obj(members) => {
+            members
+                .iter()
+                .map(|(key, member)| key.len() + 4 + rendered_len_guess(member))
+                .sum::<usize>()
+                + 2
+        }
     }
 }
 
@@ -123,7 +158,8 @@ fn render_into(value: &Json, out: &mut String) {
         Json::Num(n) => {
             if n.is_finite() {
                 // Display prints the shortest round-tripping decimal.
-                out.push_str(&format!("{n}"));
+                // Writing into a String cannot fail.
+                let _ = write!(out, "{n}");
             } else {
                 out.push_str("null");
             }
@@ -154,23 +190,42 @@ fn render_into(value: &Json, out: &mut String) {
     }
 }
 
+/// Bytes a JSON string must escape: `"`, `\` and control bytes. All are
+/// ASCII, so a run of other bytes between two of them starts and ends on
+/// a char boundary.
+fn must_escape(byte: u8) -> bool {
+    byte == b'"' || byte == b'\\' || byte < 0x20
+}
+
 fn escape_into(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    // `str::get` is called by path so the call-graph analyzers do not
+    // read it as `Json::get`.
+    let mut run = 0;
+    for (at, byte) in s.bytes().enumerate() {
+        if !must_escape(byte) {
+            continue;
         }
+        out.push_str(str::get(s, run..at).unwrap_or_default());
+        match byte {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            // Writing into a String cannot fail.
+            _ => {
+                let _ = write!(out, "\\u{byte:04x}");
+            }
+        }
+        run = at + 1;
     }
+    out.push_str(str::get(s, run..).unwrap_or_default());
     out.push('"');
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     at: usize,
 }
@@ -279,8 +334,14 @@ impl<'a> Parser<'a> {
 
     fn string(&mut self) -> Result<String, JsonError> {
         self.eat(b'"', "expected string")?;
-        let mut out = String::new();
+        let mut out = String::with_capacity(self.string_len_bound());
         loop {
+            let run = self.at;
+            let rest = self.bytes.get(run..).unwrap_or_default();
+            self.at += rest.iter().position(|&byte| must_escape(byte)).unwrap_or(rest.len());
+            // The run starts after an ASCII byte and ends at an escaped
+            // byte or the end of input, so it is a valid `&str` slice.
+            out.push_str(self.text.get(run..self.at).unwrap_or_default());
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -308,24 +369,25 @@ impl<'a> Parser<'a> {
                     }
                     self.at += 1;
                 }
-                Some(byte) if byte < 0x20 => {
-                    return Err(self.err("raw control character in string"));
-                }
-                Some(_) => {
-                    // Copy one UTF-8 character (input is &str, so the
-                    // boundaries are valid by construction).
-                    let start = self.at;
-                    let mut end = start + 1;
-                    while end < self.bytes.len() && (self.bytes[end] & 0xC0) == 0x80 {
-                        end += 1;
-                    }
-                    if let Ok(chunk) = std::str::from_utf8(&self.bytes[start..end]) {
-                        out.push_str(chunk);
-                    }
-                    self.at = end;
-                }
+                Some(_) => return Err(self.err("raw control character in string")),
             }
         }
+    }
+
+    /// Bytes from the cursor to the closing quote of the string it is
+    /// in (or to a raw control byte or the end of input). Unescaping
+    /// never lengthens text, so this bounds the decoded length.
+    fn string_len_bound(&self) -> usize {
+        let rest = self.bytes.get(self.at..).unwrap_or_default();
+        let mut len = 0;
+        while let Some(&byte) = rest.get(len) {
+            match byte {
+                b'"' | 0..=0x1f => break,
+                b'\\' => len += 2,
+                _ => len += 1,
+            }
+        }
+        len.min(rest.len())
     }
 
     /// Parses the 4 hex digits after `\u` (and a following low surrogate
@@ -380,6 +442,11 @@ impl<'a> Parser<'a> {
         if self.at == digits_start {
             return Err(self.err("expected digits"));
         }
+        // RFC 8259 §6: an integer part is `0` or starts with 1–9.
+        if self.bytes.get(digits_start) == Some(&b'0') && self.at > digits_start + 1 {
+            self.at = digits_start + 1;
+            return Err(self.err("leading zero in number"));
+        }
         if self.peek() == Some(b'.') {
             self.at += 1;
             let frac_start = self.at;
@@ -417,6 +484,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use twig_util::SplitMix64;
 
     #[test]
     fn parses_the_protocol_subset() {
@@ -454,42 +522,170 @@ mod tests {
         // Standard escape forms parse too.
         let parsed = Json::parse(r#""\u2603 \ud83d\ude00 \/""#).unwrap();
         assert_eq!(parsed.as_str(), Some("☃ 😀 /"));
+        // Every escape class, byte for byte: control bytes without a
+        // short form become `\u` and four lowercase hex digits, and
+        // everything else is copied as it is.
+        assert_eq!(
+            Json::str("a\"b\\c\nd\re\tf\u{0}\u{8}\u{1f}\u{7f}é☃😀/").render(),
+            "\"a\\\"b\\\\c\\nd\\re\\tf\\u0000\\u0008\\u001f\u{7f}é☃😀/\"",
+        );
+    }
+
+    /// Text pieces for the seeded codec sweeps: ASCII runs, every escape
+    /// class, control bytes, and 2-, 3- and 4-byte UTF-8.
+    const PIECES: &[&str] = &[
+        "a",
+        "twig",
+        "book(author(",
+        " ",
+        "\"",
+        "\\",
+        "/",
+        "\n",
+        "\r",
+        "\t",
+        "\u{0}",
+        "\u{8}",
+        "\u{c}",
+        "\u{1f}",
+        "\u{7f}",
+        "é",
+        "ß",
+        "☃",
+        "中",
+        "\u{ffff}",
+        "😀",
+        "𝄞",
+    ];
+
+    fn random_text(rng: &mut SplitMix64) -> String {
+        (0..rng.next_below(24))
+            .map(|_| PIECES[rng.next_below(PIECES.len() as u64) as usize])
+            .collect()
+    }
+
+    /// `text` as a JSON string literal that picks, per character, between
+    /// the raw character (where JSON allows it), its short escape and
+    /// `\u` escapes (a surrogate pair above U+FFFF) in either hex case.
+    fn random_literal(text: &str, rng: &mut SplitMix64) -> String {
+        let mut out = String::from("\"");
+        for c in text.chars() {
+            let short = match c {
+                '"' => "\\\"",
+                '\\' => "\\\\",
+                '/' => "\\/",
+                '\u{8}' => "\\b",
+                '\u{c}' => "\\f",
+                '\n' => "\\n",
+                '\r' => "\\r",
+                '\t' => "\\t",
+                _ => "",
+            };
+            match rng.next_below(3) {
+                0 if c >= ' ' && c != '"' && c != '\\' => out.push(c),
+                1 if !short.is_empty() => out.push_str(short),
+                _ => {
+                    for unit in c.encode_utf16(&mut [0u16; 2]) {
+                        if rng.next_below(2) == 0 {
+                            out.push_str(&format!("\\u{unit:04x}"));
+                        } else {
+                            out.push_str(&format!("\\u{unit:04X}"));
+                        }
+                    }
+                }
+            }
+        }
+        out.push('"');
+        out
     }
 
     #[test]
+    fn seeded_strings_roundtrip_through_every_copy_path() {
+        let mut rng = SplitMix64::new(0x7769_6773);
+        for _ in 0..2000 {
+            let text = random_text(&mut rng);
+            let value = Json::Str(text.clone());
+            assert_eq!(Json::parse(&value.render()), Ok(value.clone()), "{text:?}");
+            let literal = random_literal(&text, &mut rng);
+            assert_eq!(Json::parse(&literal), Ok(value.clone()), "{literal}");
+            // As an object key and an array item too.
+            let nested = Json::Obj(vec![(text.clone(), Json::Arr(vec![value, Json::Num(0.5)]))]);
+            assert_eq!(Json::parse(&nested.render()), Ok(nested), "{text:?}");
+        }
+    }
+
+    #[test]
+    fn every_proper_prefix_of_a_string_is_an_error() {
+        let mut rng = SplitMix64::new(0x7072_6566);
+        for _ in 0..300 {
+            let text = random_text(&mut rng);
+            for literal in [Json::Str(text.clone()).render(), random_literal(&text, &mut rng)] {
+                for cut in 0..literal.len() {
+                    if let Some(prefix) = literal.get(..cut) {
+                        assert!(Json::parse(prefix).is_err(), "accepted {prefix:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Inputs the parser rejects, each with the offset and message of its
+    /// error.
+    const HOSTILE: &[(&str, usize, &str)] = &[
+        ("", 0, "unexpected end of input"),
+        ("{", 1, "expected string"),
+        ("}", 0, "unexpected character"),
+        ("[", 1, "unexpected end of input"),
+        ("]", 0, "unexpected character"),
+        ("{\"a\"}", 4, "expected ':' after object key"),
+        ("{\"a\":}", 5, "unexpected character"),
+        ("[1,]", 3, "unexpected character"),
+        ("{,}", 1, "expected string"),
+        ("nul", 0, "invalid literal"),
+        ("tru", 0, "invalid literal"),
+        ("\"unterminated", 13, "unterminated string"),
+        ("\"\\q\"", 2, "invalid escape"),
+        ("\"\\u12\"", 5, "invalid unicode escape"),
+        ("\"\\ud800\"", 7, "lone high surrogate"),
+        ("\"\\ud800\\u0041\"", 13, "invalid low surrogate"),
+        ("\"\\udc00\"", 7, "lone low surrogate"),
+        ("\"ab\u{1}\"", 3, "raw control character in string"),
+        ("\"☃\\", 5, "invalid escape"),
+        ("\"é\u{1f}", 3, "raw control character in string"),
+        ("1.", 2, "expected fraction digits"),
+        (".5", 0, "unexpected character"),
+        ("1e", 2, "expected exponent digits"),
+        ("-", 1, "expected digits"),
+        ("1 2", 2, "trailing characters after value"),
+        ("{\"a\":1}x", 7, "trailing characters after value"),
+        ("1e999", 5, "number out of range"),
+        ("\u{1}", 0, "unexpected character"),
+        ("\"\u{1}\"", 1, "raw control character in string"),
+    ];
+
+    #[test]
     fn hostile_inputs_are_errors_not_panics() {
-        for bad in [
-            "",
-            "{",
-            "}",
-            "[",
-            "]",
-            "{\"a\"}",
-            "{\"a\":}",
-            "[1,]",
-            "{,}",
-            "nul",
-            "tru",
-            "\"unterminated",
-            "\"\\q\"",
-            "\"\\u12\"",
-            "\"\\ud800\"",
-            "\"\\ud800\\u0041\"",
-            "1.",
-            ".5",
-            "1e",
-            "-",
-            "1 2",
-            "{\"a\":1}x",
-            "1e999",
-            "\u{1}",
-            "\"\u{1}\"",
-        ] {
+        for bad in HOSTILE.iter().map(|&(bad, _, _)| bad).chain(["01", "-01", "00", "[01]"]) {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
+        }
+        // RFC 8259 §6 forbids leading zeros, not zeros.
+        for (good, value) in [("0", 0.0), ("-0", -0.0), ("0.5", 0.5), ("0e1", 0.0)] {
+            let parsed = Json::parse(good).map(|number| number.as_f64().map(f64::to_bits));
+            assert_eq!(parsed, Ok(Some(f64::to_bits(value))), "{good:?}");
         }
         // Depth bomb is rejected, not a stack overflow.
         let bomb = "[".repeat(10_000) + &"]".repeat(10_000);
         assert!(Json::parse(&bomb).is_err());
+    }
+
+    #[test]
+    fn hostile_input_errors_keep_their_offset_and_message() {
+        for &(bad, at, message) in HOSTILE {
+            assert_eq!(Json::parse(bad), Err(JsonError { at, message }), "{bad:?}");
+        }
+        let bomb = "[".repeat(10_000) + &"]".repeat(10_000);
+        let deepest = JsonError { at: MAX_DEPTH + 1, message: "nesting too deep" };
+        assert_eq!(Json::parse(&bomb), Err(deepest));
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! same request (or the same typed error) regardless of arrival shape.
 //! The malformed-input corpus reuses the PR 3 regression set (bad
 //! request lines, bad/overflowing content-length, transfer-encoding,
-//! oversized declarations).
+//! oversized declarations) plus the smuggling shapes of `Content-Length`
+//! (a signed value, two headers).
 
 use std::time::Duration;
 
@@ -45,6 +46,16 @@ const CANNED: &[Canned] = &[
         path: "/healthz",
         host: None,
         keep_alive: true,
+        body: b"",
+    },
+    // HTTP/1.0 persists only when a `Connection` token asks for it.
+    Canned {
+        raw: b"GET /healthz HTTP/1.0\r\n\r\n",
+        method: "GET",
+        target: "/healthz",
+        path: "/healthz",
+        host: None,
+        keep_alive: false,
         body: b"",
     },
     Canned {
@@ -211,6 +222,14 @@ fn malformed_corpus_errors_are_split_stable() {
         }),
         (overflow.as_bytes(), |e| matches!(e, ReadOutcome::Malformed(_))),
         (b"POST / HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n", |e| {
+            matches!(e, ReadOutcome::Malformed(_))
+        }),
+        // `usize::from_str` takes a leading `+`; framing must not.
+        (b"POST / HTTP/1.1\r\ncontent-length: +2\r\n\r\nab", |e| {
+            matches!(e, ReadOutcome::Malformed(_))
+        }),
+        // Two lengths: framing by either would desync a pipeline.
+        (b"POST / HTTP/1.1\r\ncontent-length: 2\r\ncontent-length: 5\r\n\r\nabcde", |e| {
             matches!(e, ReadOutcome::Malformed(_))
         }),
         // Declared body over the 64-byte limit: rejected from the head

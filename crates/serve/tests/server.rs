@@ -3,6 +3,7 @@
 //! estimate parity with the offline API, error envelopes, backpressure,
 //! hot reload, and graceful shutdown.
 
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -225,6 +226,20 @@ fn endpoints_and_estimate_parity() {
         write_request(&mut stream, "GET", "/healthz", b"").unwrap();
         let second = read_response(&mut stream, &client_limits()).unwrap();
         assert_eq!(second.status, 200);
+    }
+    // An HTTP/1.0 request without a `keep-alive` token gets its response
+    // and then the end of the stream.
+    {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(b"GET /healthz HTTP/1.0\r\n\r\n").unwrap();
+        let mut inbound = Vec::new();
+        let response =
+            read_response_pipelined(&mut stream, &mut inbound, &client_limits()).unwrap();
+        assert_eq!(response.status, 200);
+        assert_eq!(response.header("connection"), Some("close"));
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        stream.read_to_end(&mut inbound).unwrap();
+        assert!(inbound.is_empty(), "bytes after the response: {inbound:?}");
     }
 
     // Error envelopes.
