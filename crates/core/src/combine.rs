@@ -15,49 +15,102 @@
 //! present); a subtree-shaped overlap is itself estimated with set hashing
 //! — the "overlaps themselves are subtrees" case the paper calls out.
 
-use twig_pst::PathToken;
 use twig_sethash::{view_estimate_intersection, view_estimate_union_size, view_resemblance};
-use twig_util::FxHashSet;
 
 use crate::estimate::CountKind;
 use crate::parse::Piece;
-use crate::query::{CompiledQuery, Token, Unit};
+use crate::query::{CompiledQuery, Unit, UnitSet};
 use crate::summary::{Summary, TrieAccess};
-use crate::twiglets::Twiglet;
 
-/// A combination element: one parsed subpath or one twiglet.
-#[derive(Debug, Clone)]
-pub enum Element {
-    /// A single subpath.
-    Single(Piece),
-    /// A set-hash twiglet.
-    Group(Twiglet),
+/// A combination element: one parsed subpath or one twiglet, named by
+/// the range of its chains in its [`Decomposition`]'s chain pool.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Element {
+    /// True for a set-hash twiglet, false for a single subpath.
+    pub is_group: bool,
+    /// First chain in the pool.
+    pub first: usize,
+    /// One past the last chain in the pool.
+    pub end: usize,
+    /// The minimal `(path, start)` over the chains.
+    pub position: (usize, usize),
 }
 
 impl Element {
-    fn position(&self) -> (usize, usize, u8) {
-        match self {
-            // At equal (path, start), singles are processed before groups
-            // so the deepest available conditioning context is established
-            // first (the MSH `a.b.c.d` example).
-            Element::Single(p) => (p.path, p.start, 0),
-            Element::Group(t) => (t.position.0, t.position.1, 1),
-        }
+    /// The element's chains in `pool`.
+    pub(crate) fn chains<'p>(&self, pool: &'p [Piece]) -> &'p [Piece] {
+        pool.get(self.first..self.end).unwrap_or(&[])
     }
 
-    fn chains(&self) -> Vec<Piece> {
-        match self {
-            Element::Single(p) => vec![p.clone()],
-            Element::Group(t) => t.chains.clone(),
-        }
+    /// Combination order: by first covered position; at equal positions
+    /// singles come before groups, so the deepest available conditioning
+    /// context is established first (the MSH `a.b.c.d` example).
+    fn order(&self) -> (usize, usize, bool) {
+        (self.position.0, self.position.1, self.is_group)
     }
 }
 
-/// Orders elements for combination: by first covered position, singles
-/// before groups on ties.
-pub fn order_elements(mut elements: Vec<Element>) -> Vec<Element> {
-    elements.sort_by_key(Element::position);
-    elements
+/// One query's parse for one algorithm and the combination elements
+/// built from it. Reassembling into the same value reuses its buffers.
+#[derive(Debug, Clone, Default)]
+pub struct Decomposition {
+    /// The parsed pieces.
+    pub pieces: Vec<Piece>,
+    /// The chain pool the elements index into.
+    pub chains: Vec<Piece>,
+    /// The combination elements, in combination order once assembled.
+    pub elements: Vec<Element>,
+    /// Pieces the twiglets took, which do not stand alone.
+    pub(crate) taken: Vec<bool>,
+    /// Twiglet-formation scratch: the MSH start units of one branch.
+    pub(crate) starts: Vec<Unit>,
+    /// The parse's covered units.
+    pub(crate) covered: UnitSet,
+}
+
+impl Decomposition {
+    /// Empties the parse, the elements and the taken marks.
+    pub(crate) fn clear(&mut self) {
+        self.pieces.clear();
+        self.chains.clear();
+        self.elements.clear();
+        self.taken.clear();
+    }
+
+    /// Appends every piece no twiglet took as a one-chain element, then
+    /// sorts the elements into combination order.
+    pub(crate) fn finish(&mut self) {
+        let Decomposition { pieces, chains, elements, taken, .. } = self;
+        for (index, piece) in pieces.iter().enumerate() {
+            if taken.get(index).copied().unwrap_or(false) {
+                continue;
+            }
+            let first = chains.len();
+            chains.push(*piece);
+            let position = (piece.path, piece.start);
+            elements.push(Element { is_group: false, first, end: first + 1, position });
+        }
+        elements.sort_by_key(Element::order);
+    }
+}
+
+/// Reusable temporaries of [`combine`].
+#[derive(Debug, Clone, Default)]
+pub(crate) struct CombineScratch {
+    /// Units covered by the elements combined so far.
+    covered: UnitSet,
+    /// One element's conditioning overlap chains.
+    overlaps: Vec<Piece>,
+    region: RegionScratch,
+}
+
+/// Reusable temporaries of one region estimate.
+#[derive(Debug, Clone, Default)]
+struct RegionScratch {
+    /// The region's distinct chains.
+    unique: Vec<Piece>,
+    /// The star's chains, with the substars of its recursion pushed above.
+    stack: Vec<Piece>,
 }
 
 /// Count (presence or occurrence) of a single CST chain.
@@ -72,37 +125,59 @@ fn chain_count<S: Summary>(cst: &S, piece: &Piece, kind: CountKind) -> f64 {
 /// unit (a "star"). One chain → exact CST count; several chains →
 /// signature intersection, scaled to occurrences by the per-chain
 /// `Co/Cp` ratios in occurrence mode (Sec. 5).
-pub fn estimate_region<S: Summary>(cst: &S, chains: &[Piece], kind: CountKind) -> f64 {
+fn estimate_region<S: Summary>(
+    cst: &S,
+    query: &CompiledQuery,
+    chains: &[Piece],
+    kind: CountKind,
+    scratch: &mut RegionScratch,
+) -> f64 {
+    let RegionScratch { unique, stack } = scratch;
     // Dedup identical unit chains (shared prefixes across paths).
-    let mut unique: Vec<&Piece> = Vec::new();
+    unique.clear();
     for chain in chains {
-        if !unique.iter().any(|c| c.units == chain.units) {
-            unique.push(chain);
+        if !unique.iter().any(|c| c.same_units(chain, query)) {
+            unique.push(*chain);
         }
     }
     // Drop chains strictly contained in another (prefixes of longer
     // chains contribute nothing to the intersection).
-    let survivors: Vec<&Piece> = unique
-        .iter()
-        .copied()
-        .filter(|c| !unique.iter().any(|other| !std::ptr::eq(*other, *c) && c.contained_in(other)))
-        .collect();
+    stack.clear();
+    for (i, chain) in unique.iter().enumerate() {
+        let contained =
+            unique.iter().enumerate().any(|(j, other)| j != i && chain.contained_in(other, query));
+        if !contained {
+            stack.push(*chain);
+        }
+    }
 
-    match survivors.len() {
-        0 => 0.0,
-        1 => chain_count(cst, survivors[0], kind),
+    match stack.as_slice() {
+        [] => 0.0,
+        [chain] => chain_count(cst, chain, kind),
         _ => match kind {
-            CountKind::Presence => star_presence(cst, &survivors),
+            CountKind::Presence => star_presence(cst, query, stack),
             // Every presence yields at least one mapping, so the
             // occurrence estimate is floored at the presence estimate.
             CountKind::Occurrence => {
-                star_occurrence(cst, &survivors).max(star_presence(cst, &survivors))
+                star_occurrence(cst, query, stack, 0).max(star_presence(cst, query, stack))
             }
         },
     }
 }
 
-/// Occurrence estimate for a star of ≥ 2 chains.
+/// Length of the longest common prefix of the chains' unit sequences.
+fn common_prefix(query: &CompiledQuery, chains: &[Piece]) -> usize {
+    let Some((first, rest)) = chains.split_first() else { return 0 };
+    let head = first.units(query);
+    let mut lcp = head.len();
+    for chain in rest {
+        let common = chain.units(query).iter().zip(head).take_while(|(a, b)| a == b).count();
+        lcp = lcp.min(common);
+    }
+    lcp
+}
+
+/// Occurrence estimate for the star of ≥ 2 chains `stack[from..]`.
 ///
 /// When the chains diverge right after their shared start unit — the
 /// common twiglet shape — this is the paper's Sec. 5 formula: presence
@@ -116,19 +191,23 @@ pub fn estimate_region<S: Summary>(cst: &S, chains: &[Piece], kind: CountKind) -
 /// full-chain ratios multiply unrelated whole-corpus multiplicities. In
 /// that case the estimate recurses on the *substar* of chain suffixes
 /// from the divergence unit (which share exactly one unit, the base
-/// case) and scales by the fraction of branch-label instances that sit
-/// under the prefix path — a uniformity assumption in the same spirit as
-/// the paper's.
-fn star_occurrence<S: Summary>(cst: &S, chains: &[&Piece]) -> f64 {
-    let mut lcp = chains[0].units.len();
-    for chain in &chains[1..] {
-        let common = chain.units.iter().zip(&chains[0].units).take_while(|(a, b)| a == b).count();
-        lcp = lcp.min(common);
-    }
+/// case), pushed above the star on `stack`, and scales by the fraction
+/// of branch-label instances that sit under the prefix path — a
+/// uniformity assumption in the same spirit as the paper's. Every
+/// lookup walks the query's own tokens, so a summary whose parent or
+/// edge sections are unreadable cannot shorten a chain.
+fn star_occurrence<S: Summary>(
+    cst: &S,
+    query: &CompiledQuery,
+    stack: &mut Vec<Piece>,
+    from: usize,
+) -> f64 {
+    let chains = stack.get(from..).unwrap_or(&[]);
+    let lcp = common_prefix(query, chains);
     debug_assert!(lcp >= 1, "star chains share their start unit");
     if lcp <= 1 {
         // Base case: the paper's formula.
-        let presence = star_presence(cst, chains);
+        let presence = star_presence(cst, query, chains);
         let mut scale = 1.0;
         for chain in chains {
             let cp = cst.presence(chain.trie) as f64;
@@ -139,32 +218,28 @@ fn star_occurrence<S: Summary>(cst: &S, chains: &[&Piece]) -> f64 {
         }
         return presence * scale;
     }
+    let Some(&head) = chains.first() else { return 0.0 };
     // Recurse on the substar at the divergence unit.
     let divergence = lcp - 1;
-    let full_tokens = cst.trie().tokens_of(chains[0].trie);
-    let mut suffixes: Vec<Piece> = Vec::with_capacity(chains.len());
-    for chain in chains {
-        let tokens = cst.trie().tokens_of(chain.trie);
+    let top = stack.len();
+    for index in from..top {
+        let Some(&chain) = stack.get(index) else { break };
+        let start = chain.start + divergence;
         // Present by the monotonicity property.
-        let Some(trie) = cst.lookup(&tokens[divergence..]) else {
+        let Some(trie) = query.lookup(cst, chain.path, start, chain.end) else {
             // Defensive: fall back to the base-case formula on the full
             // chains rather than returning a wrong scale.
-            return star_presence(cst, chains);
+            stack.truncate(top);
+            return star_presence(cst, query, stack.get(from..).unwrap_or(&[]));
         };
-        suffixes.push(Piece {
-            path: chain.path,
-            start: chain.start + divergence,
-            end: chain.end,
-            trie,
-            units: chain.units[divergence..].to_vec(),
-        });
+        stack.push(Piece { path: chain.path, start, end: chain.end, trie });
     }
-    let suffix_refs: Vec<&Piece> = suffixes.iter().collect();
-    let sub_occurrence = star_occurrence(cst, &suffix_refs);
+    let sub_occurrence = star_occurrence(cst, query, stack, top);
+    stack.truncate(top);
     // Context: what fraction of branch-label instances lie under the
     // shared prefix chain?
-    let prefix_node = cst.lookup(&full_tokens[..lcp]);
-    let branch_node = cst.lookup(&full_tokens[divergence..lcp]);
+    let prefix_node = query.lookup(cst, head.path, head.start, head.start + lcp);
+    let branch_node = query.lookup(cst, head.path, head.start + divergence, head.start + lcp);
     let context = match (prefix_node, branch_node) {
         (Some(p), Some(b)) if cst.occurrence(b) > 0 => {
             (cst.occurrence(p) as f64 / cst.occurrence(b) as f64).min(1.0)
@@ -183,8 +258,8 @@ fn star_occurrence<S: Summary>(cst: &S, chains: &[&Piece]) -> f64 {
 /// estimate falls back to the independence product (the pure-MO
 /// assumption), capped by the resolution bound — so set hashing improves
 /// on MO where it can see, and never zeroes out a query it cannot.
-fn star_presence<S: Summary>(cst: &S, chains: &[&Piece]) -> f64 {
-    let independence = conditional_independence(cst, chains);
+fn star_presence<S: Summary>(cst: &S, query: &CompiledQuery, chains: &[Piece]) -> f64 {
+    let independence = conditional_independence(cst, query, chains);
     let mut sets = Vec::with_capacity(chains.len());
     for chain in chains {
         match cst.signature(chain.trie) {
@@ -230,19 +305,15 @@ fn star_presence<S: Summary>(cst: &S, chains: &[&Piece]) -> f64 {
 /// overlap conditioning computes for the same subpaths. Falling back to
 /// anything weaker would make set hashing worse than MO whenever the
 /// signatures under-resolve.
-fn conditional_independence<S: Summary>(cst: &S, chains: &[&Piece]) -> f64 {
-    // Longest common prefix length over the unit chains.
-    let mut lcp = chains[0].units.len();
-    for chain in &chains[1..] {
-        let common = chain.units.iter().zip(&chains[0].units).take_while(|(a, b)| a == b).count();
-        lcp = lcp.min(common);
-    }
+fn conditional_independence<S: Summary>(cst: &S, query: &CompiledQuery, chains: &[Piece]) -> f64 {
+    let Some(first) = chains.first() else { return 0.0 };
+    let lcp = common_prefix(query, chains);
     // Trie node of the common prefix: walk up from any chain's node. A
-    // healthy summary always has the parents (the chain is `units.len()`
+    // healthy summary always has the parents (the chain is `len()`
     // deep); a degraded one (flat reader with a poisoned parent section)
     // may not — treat that as an empty region rather than panicking.
-    let mut prefix_node = chains[0].trie;
-    for _ in 0..(chains[0].units.len() - lcp) {
+    let mut prefix_node = first.trie;
+    for _ in 0..(first.len() - lcp) {
         match cst.trie().parent(prefix_node) {
             Some(parent) => prefix_node = parent,
             None => return 0.0,
@@ -255,59 +326,42 @@ fn conditional_independence<S: Summary>(cst: &S, chains: &[&Piece]) -> f64 {
     base * chains.iter().map(|c| cst.presence(c.trie) as f64 / base).product::<f64>()
 }
 
-/// The covered-prefix chains of an element's region: for each chain, the
-/// longest prefix whose units are all in `covered`.
+/// The covered-prefix chains of an element's region, into `out`: for
+/// each chain, the longest prefix whose units are all in `covered`.
 fn overlap_chains<S: Summary>(
     cst: &S,
     query: &CompiledQuery,
     chains: &[Piece],
-    covered: &FxHashSet<Unit>,
-) -> Vec<Piece> {
-    let mut out: Vec<Piece> = Vec::new();
+    covered: &UnitSet,
+    out: &mut Vec<Piece>,
+) {
+    out.clear();
     for chain in chains {
-        let mut len = 0;
-        for unit in &chain.units {
-            if covered.contains(unit) {
-                len += 1;
-            } else {
-                break;
-            }
-        }
+        let len = chain
+            .units(query)
+            .iter()
+            .take_while(|&&unit| covered.contains(query.unit_id(unit)))
+            .count();
         if len == 0 {
             continue;
         }
-        let tokens: Vec<PathToken> = query.paths[chain.path].tokens[chain.start..chain.start + len]
-            .iter()
-            .map(|t| match t {
-                Token::Ok(pt) => *pt,
-                _ => unreachable!("pieces contain only Ok tokens"),
-            })
-            .collect();
         // Present by monotonicity.
-        let Some(trie) = cst.lookup(&tokens) else {
+        let end = chain.start + len;
+        let Some(trie) = query.lookup(cst, chain.path, chain.start, end) else {
             continue;
         };
-        let prefix = Piece {
-            path: chain.path,
-            start: chain.start,
-            end: chain.start + len,
-            trie,
-            units: chain.units[..len].to_vec(),
-        };
-        if !out.iter().any(|p| p.units == prefix.units) {
+        let prefix = Piece { path: chain.path, start: chain.start, end, trie };
+        if !out.iter().any(|p| p.same_units(&prefix, query)) {
             out.push(prefix);
         }
     }
-    out
 }
 
 /// One multiplicative factor of a combination, for explanation output.
 #[derive(Debug, Clone)]
 pub struct Factor {
-    /// Whether the element was a twiglet (set-hash group).
-    pub is_group: bool,
-    /// The element's chains (for rendering).
-    pub chains: Vec<Piece>,
+    /// The element (its chains are in the decomposition's pool).
+    pub element: Element,
     /// The conditioning overlap chains (empty = independent join by `n`).
     pub overlaps: Vec<Piece>,
     /// Estimated count of the element's region.
@@ -318,45 +372,33 @@ pub struct Factor {
     pub skipped: bool,
 }
 
-/// Runs MO conditioning over ordered elements and returns the final count
-/// estimate (Sec. 3.7). Elements are borrowed so a cached plan can be
-/// combined repeatedly without cloning.
-pub fn combine<S: Summary>(
+/// Runs MO conditioning over the decomposition's elements, in order, and
+/// returns the final count estimate (Sec. 3.7). With a trace sink, every
+/// factor is recorded (used by [`crate::explain`]).
+pub(crate) fn combine<S: Summary>(
     cst: &S,
     query: &CompiledQuery,
-    elements: &[Element],
+    parts: &Decomposition,
     kind: CountKind,
-) -> f64 {
-    combine_traced(cst, query, elements, kind, None)
-}
-
-/// [`combine`] with an optional trace sink recording every factor (used
-/// by [`crate::explain`]).
-pub fn combine_traced<S: Summary>(
-    cst: &S,
-    query: &CompiledQuery,
-    elements: &[Element],
-    kind: CountKind,
+    scratch: &mut CombineScratch,
     mut trace: Option<&mut Vec<Factor>>,
 ) -> f64 {
     let n = cst.n() as f64;
     if n == 0.0 {
         return 0.0;
     }
-    let mut ordered: Vec<&Element> = elements.iter().collect();
-    ordered.sort_by_key(|e| e.position());
-    let mut covered: FxHashSet<Unit> = FxHashSet::default();
+    scratch.covered.clear();
     let mut result = n;
-    for element in ordered {
-        let chains = element.chains();
-        let is_group = matches!(element, Element::Group(_));
+    for element in &parts.elements {
+        let chains = element.chains(&parts.chains);
         // Fully covered elements contribute Pr(X|X) = 1.
-        let fully_covered = chains.iter().all(|c| c.units.iter().all(|u| covered.contains(u)));
+        let fully_covered = chains.iter().all(|chain| {
+            chain.units(query).iter().all(|&unit| scratch.covered.contains(query.unit_id(unit)))
+        });
         if fully_covered {
             if let Some(sink) = trace.as_deref_mut() {
                 sink.push(Factor {
-                    is_group,
-                    chains,
+                    element: *element,
                     overlaps: Vec::new(),
                     numerator: 1.0,
                     denominator: 1.0,
@@ -365,22 +407,22 @@ pub fn combine_traced<S: Summary>(
             }
             continue;
         }
-        let numerator = estimate_region(cst, &chains, kind);
-        let overlaps = overlap_chains(cst, query, &chains, &covered);
+        let CombineScratch { covered, overlaps, region } = &mut *scratch;
+        let numerator = estimate_region(cst, query, chains, kind, region);
+        overlap_chains(cst, query, chains, covered, overlaps);
         let denominator = if overlaps.is_empty() {
             n
         } else if numerator <= 0.0 {
             // Denominator irrelevant; keep the trace informative.
-            estimate_region(cst, &overlaps, kind)
+            estimate_region(cst, query, overlaps, kind, region)
         } else {
             // count(overlap) ≥ count(region) must hold; repair signature
             // noise that says otherwise.
-            estimate_region(cst, &overlaps, kind).max(numerator)
+            estimate_region(cst, query, overlaps, kind, region).max(numerator)
         };
         if let Some(sink) = trace.as_deref_mut() {
             sink.push(Factor {
-                is_group,
-                chains: chains.clone(),
+                element: *element,
                 overlaps: overlaps.clone(),
                 numerator,
                 denominator,
@@ -391,8 +433,10 @@ pub fn combine_traced<S: Summary>(
             return 0.0;
         }
         result *= numerator / denominator;
-        for chain in &chains {
-            covered.extend(chain.units.iter().copied());
+        for chain in chains {
+            for &unit in chain.units(query) {
+                covered.insert(query.unit_id(unit));
+            }
         }
     }
     result
@@ -403,7 +447,6 @@ mod tests {
     use super::*;
     use crate::cst::{Cst, CstConfig, SpaceBudget};
     use crate::parse::maximal_pieces;
-    use twig_pst::PathToken as PT;
     use twig_tree::{DataTree, Twig};
 
     fn fixture() -> Cst {
@@ -431,40 +474,56 @@ mod tests {
     fn pieces_for(cst: &Cst, expr: &str) -> (CompiledQuery, Vec<Piece>) {
         let twig = Twig::parse(expr).unwrap();
         let query = CompiledQuery::compile(cst, &twig);
-        let pieces = maximal_pieces(cst, &query);
+        let mut pieces = Vec::new();
+        maximal_pieces(cst, &query, &mut pieces);
         (query, pieces)
+    }
+
+    fn region(cst: &Cst, query: &CompiledQuery, chains: &[Piece], kind: CountKind) -> f64 {
+        estimate_region(cst, query, chains, kind, &mut RegionScratch::default())
+    }
+
+    /// Combines `pieces`, each its own element, in the given order.
+    fn combine_singles(cst: &Cst, query: &CompiledQuery, pieces: &[Piece]) -> f64 {
+        let mut parts = Decomposition::default();
+        for (first, piece) in pieces.iter().enumerate() {
+            parts.chains.push(*piece);
+            let position = (piece.path, piece.start);
+            parts.elements.push(Element { is_group: false, first, end: first + 1, position });
+        }
+        let scratch = &mut CombineScratch::default();
+        combine(cst, query, &parts, CountKind::Presence, scratch, None)
     }
 
     #[test]
     fn estimate_region_single_chain_is_exact() {
         let cst = fixture();
-        let (_, pieces) = pieces_for(&cst, r#"book(author("Anna"))"#);
+        let (query, pieces) = pieces_for(&cst, r#"book(author("Anna"))"#);
         assert_eq!(pieces.len(), 1);
-        assert_eq!(estimate_region(&cst, &pieces, CountKind::Presence), 20.0);
-        assert_eq!(estimate_region(&cst, &pieces, CountKind::Occurrence), 20.0);
+        assert_eq!(region(&cst, &query, &pieces, CountKind::Presence), 20.0);
+        assert_eq!(region(&cst, &query, &pieces, CountKind::Occurrence), 20.0);
     }
 
     #[test]
     fn estimate_region_dedups_identical_chains() {
         let cst = fixture();
-        let (_, pieces) = pieces_for(&cst, r#"book(author("Anna"))"#);
-        let doubled = vec![pieces[0].clone(), pieces[0].clone()];
-        assert_eq!(estimate_region(&cst, &doubled, CountKind::Presence), 20.0);
+        let (query, pieces) = pieces_for(&cst, r#"book(author("Anna"))"#);
+        let doubled = vec![pieces[0], pieces[0]];
+        assert_eq!(region(&cst, &query, &doubled, CountKind::Presence), 20.0);
     }
 
     #[test]
     fn estimate_region_drops_prefix_chains() {
         let cst = fixture();
-        let (_, pieces) = pieces_for(&cst, r#"book(author("Anna"))"#);
-        let full = pieces[0].clone();
+        let (query, pieces) = pieces_for(&cst, r#"book(author("Anna"))"#);
+        let full = pieces[0];
         let prefix = Piece {
             path: full.path,
             start: full.start,
             end: full.end - 1,
             trie: cst.trie().parent(full.trie).unwrap(),
-            units: full.units[..full.units.len() - 1].to_vec(),
         };
-        let est = estimate_region(&cst, &[prefix, full], CountKind::Presence);
+        let est = region(&cst, &query, &[prefix, full], CountKind::Presence);
         assert_eq!(est, 20.0, "prefix must not dilute the star");
     }
 
@@ -473,26 +532,25 @@ mod tests {
         let cst = fixture();
         // Two chains from `book`: author Anna ∧ year 1999 — perfectly
         // correlated, true intersection 20.
-        let (_, pieces) = pieces_for(&cst, r#"book(author("Anna"),year("1999"))"#);
+        let (query, pieces) = pieces_for(&cst, r#"book(author("Anna"),year("1999"))"#);
         assert_eq!(pieces.len(), 2);
-        let est = estimate_region(&cst, &pieces, CountKind::Presence);
+        let est = region(&cst, &query, &pieces, CountKind::Presence);
         assert!((est - 20.0).abs() < 4.0, "est = {est}");
     }
 
     #[test]
     fn estimate_region_star_sees_anticorrelation() {
         let cst = fixture();
-        let (_, pieces) = pieces_for(&cst, r#"book(author("Anna"),year("2000"))"#);
-        let est = estimate_region(&cst, &pieces, CountKind::Presence);
+        let (query, pieces) = pieces_for(&cst, r#"book(author("Anna"),year("2000"))"#);
+        let est = region(&cst, &query, &pieces, CountKind::Presence);
         assert!(est < 3.0, "est = {est}");
     }
 
     #[test]
     fn conditional_independence_matches_mo_formula() {
         let cst = fixture();
-        let (_, pieces) = pieces_for(&cst, r#"book(author("Anna"),year("1999"))"#);
-        let refs: Vec<&Piece> = pieces.iter().collect();
-        let ind = conditional_independence(&cst, &refs);
+        let (query, pieces) = pieces_for(&cst, r#"book(author("Anna"),year("1999"))"#);
+        let ind = conditional_independence(&cst, &query, &pieces);
         // Cp(book)·(20/40)·(20/40) = 40/4 = 10.
         assert!((ind - 10.0).abs() < 1e-9, "ind = {ind}");
     }
@@ -501,19 +559,26 @@ mod tests {
     fn order_elements_sorts_singles_before_groups() {
         let cst = fixture();
         let (_, pieces) = pieces_for(&cst, r#"book(author("Anna"),year("1999"))"#);
-        let twiglet = crate::twiglets::Twiglet { chains: pieces.clone(), position: (0, 0) };
-        let ordered =
-            order_elements(vec![Element::Group(twiglet), Element::Single(pieces[0].clone())]);
-        assert!(matches!(ordered[0], Element::Single(_)));
-        assert!(matches!(ordered[1], Element::Group(_)));
+        // A twiglet over both pieces at (0, 0), then the first piece
+        // alone at the same position.
+        let mut parts = Decomposition {
+            pieces: vec![pieces[0]],
+            chains: pieces.clone(),
+            elements: vec![Element { is_group: true, first: 0, end: 2, position: (0, 0) }],
+            ..Decomposition::default()
+        };
+        parts.finish();
+        assert_eq!(parts.elements.len(), 2);
+        assert!(!parts.elements[0].is_group);
+        assert_eq!(parts.elements[0].chains(&parts.chains), &pieces[..1]);
+        assert!(parts.elements[1].is_group);
     }
 
     #[test]
     fn combine_single_full_piece_returns_count() {
         let cst = fixture();
         let (query, pieces) = pieces_for(&cst, r#"book(author("Bo"))"#);
-        let elements: Vec<Element> = pieces.into_iter().map(Element::Single).collect();
-        let est = combine(&cst, &query, &elements, CountKind::Presence);
+        let est = combine_singles(&cst, &query, &pieces);
         assert!((est - 20.0).abs() < 1e-9, "est = {est}");
     }
 
@@ -525,30 +590,15 @@ mod tests {
         let cst = fixture();
         let (query, pieces) = pieces_for(&cst, r#"book(author("Anna"))"#);
         let full = &pieces[0];
-        let make = |lo: usize, hi: usize| {
-            let tokens: Vec<PT> = query.paths[0].tokens[lo..hi]
-                .iter()
-                .map(|t| match t {
-                    Token::Ok(pt) => *pt,
-                    _ => panic!("test tokens are Ok"),
-                })
-                .collect();
-            Piece {
-                path: 0,
-                start: lo,
-                end: hi,
-                trie: cst.lookup(&tokens).expect("in unpruned CST"),
-                units: query.paths[0].units[lo..hi].to_vec(),
-            }
+        let make = |lo: usize, hi: usize| Piece {
+            path: 0,
+            start: lo,
+            end: hi,
+            trie: query.lookup(&cst, 0, lo, hi).expect("in unpruned CST"),
         };
         let head = make(0, 2); // book.author
         let tail = make(1, full.end); // author."Anna"
-        let est = combine(
-            &cst,
-            &query,
-            &[Element::Single(head), Element::Single(tail)],
-            CountKind::Presence,
-        );
+        let est = combine_singles(&cst, &query, &[head, tail]);
         assert!((est - 20.0).abs() < 1e-9, "est = {est}");
     }
 
@@ -556,13 +606,7 @@ mod tests {
     fn combine_skips_fully_covered_elements() {
         let cst = fixture();
         let (query, pieces) = pieces_for(&cst, r#"book(author("Anna"))"#);
-        let piece = pieces[0].clone();
-        let est = combine(
-            &cst,
-            &query,
-            &[Element::Single(piece.clone()), Element::Single(piece)],
-            CountKind::Presence,
-        );
+        let est = combine_singles(&cst, &query, &[pieces[0], pieces[0]]);
         assert!((est - 20.0).abs() < 1e-9, "duplicate must contribute 1: {est}");
     }
 
@@ -577,8 +621,7 @@ mod tests {
         // numerator==0 path via a manufactured zero-presence chain.
         // The root node has presence 0 in the pruned trie.
         pieces[0].trie = twig_pst::TrieNodeId::ROOT;
-        let elements: Vec<Element> = pieces.into_iter().map(Element::Single).collect();
-        let est = combine(&cst, &query, &elements, CountKind::Presence);
+        let est = combine_singles(&cst, &query, &pieces);
         assert_eq!(est, 0.0);
     }
 }

@@ -1,10 +1,12 @@
 //! The six estimation algorithms (Sec. 4, Table 1).
 
+use std::cell::RefCell;
+
 use twig_pst::PathToken;
 use twig_tree::Twig;
 use twig_util::cast::{count_to_f64, size_to_f64};
 
-use crate::combine::{combine, Element};
+use crate::combine::{combine, CombineScratch, Decomposition};
 use crate::cst::Cst;
 use crate::parse::{
     covers_query, greedy_pieces, maximal_in_range, maximal_pieces, piecewise_maximal_pieces, Piece,
@@ -165,26 +167,32 @@ impl Cst {
     /// (Drives the Fig. 5(b) / Fig. 6(a) experiments.)
     pub fn parses_differently(&self, twig: &Twig) -> bool {
         let query = CompiledQuery::compile(self, twig);
-        let pieces = maximal_pieces(self, &query);
-        let (mosh, _) = mosh_twiglets(&query, &pieces);
-        let msh = msh_twiglets(self, &query, &pieces);
-        if mosh.len() != msh.len() {
+        let mut mosh = Decomposition::default();
+        maximal_pieces(self, &query, &mut mosh.pieces);
+        let mut msh = Decomposition { pieces: mosh.pieces.clone(), ..Decomposition::default() };
+        mosh_twiglets(&query, &mut mosh);
+        msh_twiglets(self, &query, &mut msh);
+        if mosh.elements.len() != msh.elements.len() {
             return true;
         }
         // Compare at chain granularity: two decompositions can cover the
         // same query units with different chain sets (MSH adds suffix
         // chains), and that is a different parse.
-        fn canon(tw: &crate::twiglets::Twiglet) -> Vec<&[crate::query::Unit]> {
-            let mut chains: Vec<&[crate::query::Unit]> =
-                tw.chains.iter().map(|c| c.units.as_slice()).collect();
-            chains.sort();
-            chains
-        }
-        let mut a: Vec<_> = mosh.iter().map(canon).collect();
-        let mut b: Vec<_> = msh.iter().map(canon).collect();
-        a.sort();
-        b.sort();
-        a != b
+        let canon = |parts: &Decomposition| {
+            let mut twiglets: Vec<Vec<&[crate::query::Unit]>> = parts
+                .elements
+                .iter()
+                .map(|twiglet| {
+                    let mut chains: Vec<_> =
+                        twiglet.chains(&parts.chains).iter().map(|c| c.units(&query)).collect();
+                    chains.sort();
+                    chains
+                })
+                .collect();
+            twiglets.sort();
+            twiglets
+        };
+        canon(&mosh) != canon(&msh)
     }
 }
 
@@ -274,89 +282,118 @@ pub fn sibling_discount_summary<S: Summary>(summary: &S, twig: &Twig) -> f64 {
     discount
 }
 
+/// Reusable per-thread buffers of the estimate path: the compiled query,
+/// its decomposition and the combination's temporaries. Kept in a
+/// thread-local so concurrent estimates (server workers) never contend,
+/// and cleared — never shrunk — between uses, so a warm miss allocates
+/// only what the set-hash kernels need.
+#[derive(Default)]
+struct EstimateScratch {
+    query: CompiledQuery,
+    parts: Decomposition,
+    combine: CombineScratch,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<EstimateScratch> = RefCell::new(EstimateScratch::default());
+}
+
 /// Runs `algorithm` from scratch: compile the twig against the summary,
 /// parse and group its pieces, combine over the counts of `kind`. The
 /// plan-free path and a plan's first fill both run exactly this.
 fn compute_raw<S: Summary>(cst: &S, twig: &Twig, algorithm: Algorithm, kind: CountKind) -> f64 {
-    let query = &CompiledQuery::compile(cst, twig);
-    let elements = match algorithm {
-        Algorithm::Leaf => return run_leaf(cst, query, kind),
-        Algorithm::Greedy => return run_greedy(cst, greedy_pieces(cst, query).as_deref(), kind),
-        Algorithm::PureMo => {
-            let pieces = maximal_pieces(cst, query);
-            covers_query(query, &pieces).then(|| pieces.into_iter().map(Element::Single).collect())
-        }
-        Algorithm::Mosh => mosh_elements(query, maximal_pieces(cst, query)),
-        Algorithm::Pmosh => mosh_elements(query, piecewise_maximal_pieces(cst, query, twig)),
-        Algorithm::Msh => {
-            let pieces = maximal_pieces(cst, query);
-            if !covers_query(query, &pieces) {
-                return 0.0;
+    SCRATCH.with(|scratch| match scratch.try_borrow_mut() {
+        Ok(mut scratch) => scratch.run(cst, twig, algorithm, kind),
+        // Re-entered on this thread: run on fresh buffers.
+        Err(_) => EstimateScratch::default().run(cst, twig, algorithm, kind),
+    })
+}
+
+impl EstimateScratch {
+    fn run<S: Summary>(
+        &mut self,
+        cst: &S,
+        twig: &Twig,
+        algorithm: Algorithm,
+        kind: CountKind,
+    ) -> f64 {
+        let EstimateScratch { query, parts, combine: temps } = self;
+        query.recompile(cst, twig);
+        match algorithm {
+            Algorithm::Leaf => run_leaf(cst, query, kind, &mut parts.pieces),
+            Algorithm::Greedy => {
+                let parsed = greedy_pieces(cst, query, &mut parts.pieces);
+                run_greedy(cst, parsed.then_some(parts.pieces.as_slice()), kind)
             }
-            let twiglets = msh_twiglets(cst, query, &pieces);
-            // MSH keeps the full maximal pieces alongside the suffix
-            // twiglets (Sec. 4.4: `a.b.c.d` still heads the paper's
-            // formula) — but a piece whose region lies entirely inside
-            // a twiglet (like the paper's `b.c.f.g`, absorbed by the
-            // twiglet at `b`) must not appear separately: processed
-            // first it would cover the twiglet's region and silently
-            // discard its correlation estimate.
-            let regions: Vec<twig_util::FxHashSet<crate::query::Unit>> =
-                twiglets.iter().map(crate::twiglets::Twiglet::units).collect();
-            let mut elements: Vec<Element> = pieces
-                .into_iter()
-                .filter(|p| {
-                    !regions.iter().any(|region| p.units.iter().all(|u| region.contains(u)))
-                })
-                .map(Element::Single)
-                .collect();
-            elements.extend(twiglets.into_iter().map(Element::Group));
-            Some(elements)
+            // No elements: the parse does not cover the query (estimate 0).
+            _ if decompose(cst, query, twig, algorithm, parts) => {
+                combine(cst, query, parts, kind, temps, None)
+            }
+            _ => 0.0,
         }
-    };
-    // No elements: the parse does not cover the query (estimate 0).
-    match elements {
-        Some(elements) => combine(cst, query, &elements, kind),
-        None => 0.0,
     }
 }
 
-/// MOSH/PMOSH element assembly over an already-parsed piece set.
-fn mosh_elements(query: &CompiledQuery, pieces: Vec<Piece>) -> Option<Vec<Element>> {
-    if !covers_query(query, &pieces) {
-        return None;
+/// Parses `query` for `algorithm` and assembles its combination elements
+/// into `parts`, in combination order: MO's pieces each stand alone;
+/// MOSH and PMOSH group pieces into twiglets and keep the rest alone;
+/// MSH adds suffix twiglets beside its pieces. Returns false when the
+/// parse leaves a query unit uncovered (the estimate is then 0). The
+/// estimate path and [`Cst::explain`] both assemble through here; Leaf
+/// and Greedy combine no elements and get MO's.
+pub(crate) fn decompose<S: Summary>(
+    cst: &S,
+    query: &CompiledQuery,
+    twig: &Twig,
+    algorithm: Algorithm,
+    parts: &mut Decomposition,
+) -> bool {
+    parts.clear();
+    match algorithm {
+        Algorithm::Pmosh => piecewise_maximal_pieces(cst, query, twig, &mut parts.pieces),
+        _ => maximal_pieces(cst, query, &mut parts.pieces),
     }
-    let (twiglets, consumed) = mosh_twiglets(query, &pieces);
-    let mut elements: Vec<Element> = pieces
-        .into_iter()
-        .zip(&consumed)
-        .filter(|(_, &used)| !used)
-        .map(|(p, _)| Element::Single(p))
-        .collect();
-    elements.extend(twiglets.into_iter().map(Element::Group));
-    Some(elements)
+    if !covers_query(query, &parts.pieces, &mut parts.covered) {
+        return false;
+    }
+    match algorithm {
+        Algorithm::Mosh | Algorithm::Pmosh => mosh_twiglets(query, parts),
+        Algorithm::Msh => msh_twiglets(cst, query, parts),
+        _ => {}
+    }
+    parts.finish();
+    true
 }
 
 /// The Leaf baseline: per value leaf, MO-estimate the leaf string from
 /// pure string-fragment statistics, multiply the per-leaf probabilities.
-fn run_leaf<S: Summary>(cst: &S, query: &CompiledQuery, kind: CountKind) -> f64 {
+/// `pieces` is scratch.
+fn run_leaf<S: Summary>(
+    cst: &S,
+    query: &CompiledQuery,
+    kind: CountKind,
+    pieces: &mut Vec<Piece>,
+) -> f64 {
     let n = count_to_f64(cst.n());
     if n == 0.0 {
         return 0.0;
     }
     let mut result = n;
-    for (path, qpath) in query.paths.iter().enumerate() {
+    for path in 0..query.path_count() {
+        let tokens = query.tokens(path);
         // The value char range, if this path ends in a value leaf.
         let Some(first_char) =
-            qpath.tokens.iter().position(|t| matches!(t, Token::Ok(PathToken::Char(_))))
+            tokens.iter().position(|t| matches!(t, Token::Ok(PathToken::Char(_))))
         else {
             continue;
         };
-        let len = qpath.tokens.len();
+        let len = tokens.len();
         // Coverage of the string.
         let mut covered_to = first_char;
         let mut prob = 1.0;
-        for piece in &maximal_in_range(cst, query, path, first_char, len) {
+        pieces.clear();
+        maximal_in_range(cst, query, path, first_char, len, pieces);
+        for piece in pieces.iter() {
             if piece.start > covered_to {
                 return 0.0; // gap: fragment below threshold
             }
@@ -374,15 +411,7 @@ fn run_leaf<S: Summary>(cst: &S, query: &CompiledQuery, kind: CountKind) -> f64 
                 // The value range holds only resolved char tokens; an
                 // unresolved token here means the query compiler changed
                 // under us, and the conditioning falls back to `n`.
-                let tokens: Option<Vec<PathToken>> = qpath.tokens
-                    [piece.start..piece.start + overlap]
-                    .iter()
-                    .map(|t| match t {
-                        Token::Ok(pt) => Some(*pt),
-                        _ => None,
-                    })
-                    .collect();
-                match tokens.as_deref().and_then(|tokens| cst.lookup(tokens)) {
+                match query.lookup(cst, path, piece.start, piece.start + overlap) {
                     Some(node) => (match kind {
                         CountKind::Presence => count_to_f64(cst.presence(node)),
                         CountKind::Occurrence => count_to_f64(cst.occurrence(node)),

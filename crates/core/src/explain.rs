@@ -14,12 +14,11 @@ use std::fmt;
 use twig_pst::PathToken;
 use twig_tree::Twig;
 
-use crate::combine::{combine_traced, Element, Factor};
+use crate::combine::{combine, CombineScratch, Decomposition, Factor};
 use crate::cst::Cst;
-use crate::estimate::{Algorithm, CountKind};
-use crate::parse::{covers_query, greedy_pieces, maximal_pieces, piecewise_maximal_pieces, Piece};
+use crate::estimate::{decompose, Algorithm, CountKind};
+use crate::parse::{covers_query, greedy_pieces, maximal_pieces, Piece};
 use crate::query::CompiledQuery;
-use crate::twiglets::{mosh_twiglets, msh_twiglets};
 
 /// A rendered view of one parsed subpath.
 #[derive(Debug, Clone)]
@@ -77,75 +76,29 @@ impl Cst {
     /// [`Cst::estimate`] for the same arguments.
     pub fn explain(&self, twig: &Twig, algorithm: Algorithm, kind: CountKind) -> Explanation {
         let query = CompiledQuery::compile(self, twig);
+        let mut parts = Decomposition::default();
         let mut factors: Vec<Factor> = Vec::new();
-        let (pieces, covered, raw) = match algorithm {
+        let (covered, raw) = match algorithm {
             Algorithm::Leaf | Algorithm::Greedy => {
                 // The baselines have no element/factor structure worth
                 // tracing; report their pieces only.
-                let pieces = match algorithm {
-                    Algorithm::Greedy => greedy_pieces(self, &query).unwrap_or_default(),
-                    _ => maximal_pieces(self, &query),
-                };
-                let covered = covers_query(&query, &pieces);
-                let raw = self.estimate_raw(twig, algorithm, kind, None);
-                (pieces, covered, raw)
+                if algorithm == Algorithm::Greedy {
+                    greedy_pieces(self, &query, &mut parts.pieces);
+                } else {
+                    maximal_pieces(self, &query, &mut parts.pieces);
+                }
+                let covered = covers_query(&query, &parts.pieces, &mut parts.covered);
+                (covered, self.estimate_raw(twig, algorithm, kind, None))
             }
-            Algorithm::PureMo => {
-                let pieces = maximal_pieces(self, &query);
-                let covered = covers_query(&query, &pieces);
+            _ => {
+                let covered = decompose(self, &query, twig, algorithm, &mut parts);
                 let raw = if covered {
-                    let elements: Vec<Element> =
-                        pieces.iter().cloned().map(Element::Single).collect();
-                    combine_traced(self, &query, &elements, kind, Some(&mut factors))
+                    let scratch = &mut CombineScratch::default();
+                    combine(self, &query, &parts, kind, scratch, Some(&mut factors))
                 } else {
                     0.0
                 };
-                (pieces, covered, raw)
-            }
-            Algorithm::Mosh | Algorithm::Pmosh => {
-                let pieces = if algorithm == Algorithm::Mosh {
-                    maximal_pieces(self, &query)
-                } else {
-                    piecewise_maximal_pieces(self, &query, twig)
-                };
-                let covered = covers_query(&query, &pieces);
-                let raw = if covered {
-                    let (twiglets, consumed) = mosh_twiglets(&query, &pieces);
-                    let mut elements: Vec<Element> = pieces
-                        .iter()
-                        .cloned()
-                        .zip(&consumed)
-                        .filter(|(_, &used)| !used)
-                        .map(|(p, _)| Element::Single(p))
-                        .collect();
-                    elements.extend(twiglets.into_iter().map(Element::Group));
-                    combine_traced(self, &query, &elements, kind, Some(&mut factors))
-                } else {
-                    0.0
-                };
-                (pieces, covered, raw)
-            }
-            Algorithm::Msh => {
-                let pieces = maximal_pieces(self, &query);
-                let covered = covers_query(&query, &pieces);
-                let raw = if covered {
-                    let twiglets = msh_twiglets(self, &query, &pieces);
-                    let regions: Vec<twig_util::FxHashSet<crate::query::Unit>> =
-                        twiglets.iter().map(crate::twiglets::Twiglet::units).collect();
-                    let mut elements: Vec<Element> = pieces
-                        .iter()
-                        .filter(|p| {
-                            !regions.iter().any(|region| p.units.iter().all(|u| region.contains(u)))
-                        })
-                        .cloned()
-                        .map(Element::Single)
-                        .collect();
-                    elements.extend(twiglets.into_iter().map(Element::Group));
-                    combine_traced(self, &query, &elements, kind, Some(&mut factors))
-                } else {
-                    0.0
-                };
-                (pieces, covered, raw)
+                (covered, raw)
             }
         };
         let discount = self.sibling_discount(twig);
@@ -154,7 +107,8 @@ impl Cst {
             kind,
             query: twig.to_string(),
             n: self.n(),
-            pieces: pieces
+            pieces: parts
+                .pieces
                 .iter()
                 .map(|p| ExplainedPiece {
                     subpath: self.render_piece(p),
@@ -166,8 +120,13 @@ impl Cst {
             factors: factors
                 .iter()
                 .map(|f| ExplainedFactor {
-                    kind: if f.is_group { "twiglet" } else { "piece" },
-                    subpaths: f.chains.iter().map(|c| self.render_piece(c)).collect(),
+                    kind: if f.element.is_group { "twiglet" } else { "piece" },
+                    subpaths: f
+                        .element
+                        .chains(&parts.chains)
+                        .iter()
+                        .map(|c| self.render_piece(c))
+                        .collect(),
                     overlap: f.overlaps.iter().map(|c| self.render_piece(c)).collect(),
                     numerator: f.numerator,
                     denominator: f.denominator,

@@ -1,36 +1,21 @@
 //! Query path parsing strategies (Sec. 3.3): maximal, piecewise-maximal
 //! and greedy.
-
-use std::cell::RefCell;
+//!
+//! Every strategy writes its pieces into a caller's buffer, so the
+//! estimate path parses without allocating once its buffers are warm.
 
 use twig_pst::TrieNodeId;
 use twig_tree::Twig;
-use twig_util::FxHashSet;
 
-use crate::query::{CompiledQuery, Token, Unit};
+use crate::query::{CompiledQuery, Token, Unit, UnitSet};
 use crate::summary::{Summary, TrieAccess};
 
-/// Reusable per-thread buffers for the parsing hot loops: one walk
-/// buffer for trie descents and one unit set for coverage checks. Kept
-/// in a thread-local so concurrent estimates (server workers) never
-/// contend, and cleared — never shrunk — between uses.
-pub(crate) struct EstimateScratch {
-    walk: Vec<TrieNodeId>,
-    covered: FxHashSet<Unit>,
-}
-
-thread_local! {
-    pub(crate) static SCRATCH: RefCell<EstimateScratch> = RefCell::new(EstimateScratch {
-        walk: Vec::new(),
-        covered: FxHashSet::default(),
-    });
-}
-
 /// A parsed subpath: a token range of one query path that exists in the
-/// CST.
-#[derive(Debug, Clone)]
+/// CST. Its units are `query.units(path)[start..end]`; a piece copies
+/// nothing out of the query.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Piece {
-    /// Index of the query path in [`CompiledQuery::paths`].
+    /// Index of the query path, in query-DFS order.
     pub path: usize,
     /// Start token index (inclusive).
     pub start: usize,
@@ -38,8 +23,6 @@ pub struct Piece {
     pub end: usize,
     /// The CST node for exactly this token range.
     pub trie: TrieNodeId,
-    /// The query units covered, in order (length `end - start`).
-    pub units: Vec<Unit>,
 }
 
 impl Piece {
@@ -53,215 +36,212 @@ impl Piece {
         false
     }
 
+    /// The query units covered, in order.
+    pub(crate) fn units<'q>(&self, query: &'q CompiledQuery) -> &'q [Unit] {
+        query.units(self.path).get(self.start..self.end).unwrap_or(&[])
+    }
+
     /// True when this piece's unit chain is contained in `other`'s.
     ///
-    /// Units are globally unique positions of the query tree and pieces
-    /// are downward chains, so containment is just subset-ness.
-    pub fn contained_in(&self, other: &Piece) -> bool {
-        if self.units.len() > other.units.len() {
-            return false;
-        }
-        self.units.iter().all(|u| other.units.contains(u))
+    /// A unit's token index is its depth in the query tree, and two
+    /// paths hold the same units up to where they diverge. So `other`
+    /// contains this chain exactly when its range spans this one and
+    /// its path holds this chain's last unit.
+    pub(crate) fn contained_in(&self, other: &Piece, query: &CompiledQuery) -> bool {
+        let Some(last) = self.end.checked_sub(1).filter(|&last| last >= self.start) else {
+            return true; // the empty chain
+        };
+        other.start <= self.start
+            && self.end <= other.end
+            && query.units(self.path).get(last) == query.units(other.path).get(last)
+    }
+
+    /// True when both pieces cover the same unit chain.
+    pub(crate) fn same_units(&self, other: &Piece, query: &CompiledQuery) -> bool {
+        self.start == other.start && self.end == other.end && self.contained_in(other, query)
     }
 }
 
-/// Walks the CST from token `start` of `path` into `nodes` (cleared
-/// first): the trie node per matched depth (index `d` = node after
-/// `d+1` tokens).
-fn walk_into<S: Summary>(
+/// The longest CST match of `path`'s tokens from `start`, ending by
+/// `hi`: its end and trie node, or `None` when token `start` itself does
+/// not match.
+fn longest_match<S: Summary>(
     cst: &S,
     query: &CompiledQuery,
     path: usize,
     start: usize,
-    nodes: &mut Vec<TrieNodeId>,
-) {
-    nodes.clear();
-    let qpath = &query.paths[path];
+    hi: usize,
+) -> Option<(usize, TrieNodeId)> {
+    let trie = cst.trie();
     let mut node = TrieNodeId::ROOT;
-    for token in &qpath.tokens[start..] {
-        let Token::Ok(pt) = token else { break };
-        match cst.trie().child(node, pt.edge()) {
-            Some(next) => {
-                node = next;
-                nodes.push(node);
-            }
-            None => break,
-        }
-    }
+    let matched = query
+        .tokens(path)
+        .get(start..hi)?
+        .iter()
+        .map_while(|token| match token {
+            Token::Ok(token) => trie.child(node, token.edge()).map(|next| node = next),
+            _ => None,
+        })
+        .count();
+    Some((start.checked_add(matched)?, node)).filter(|_| matched > 0)
 }
 
-/// The piece for one walked match, or `None` for an empty walk (every
-/// caller guards against one, but the lookup stays total).
-fn piece_at(
-    query: &CompiledQuery,
-    path: usize,
-    start: usize,
-    nodes: &[TrieNodeId],
-) -> Option<Piece> {
-    let (&trie, _) = nodes.split_last()?;
-    let end = start + nodes.len();
-    Some(Piece { path, start, end, trie, units: query.paths[path].units[start..end].to_vec() })
-}
-
-/// Maximal parsing of one token range: all matches not contained in
-/// another match of the same range (the MO parse of Jagadish, Ng &
-/// Srivastava, PODS 1999).
-pub fn maximal_in_range<S: Summary>(
+/// Maximal parsing of one token range: appends to `out` all matches not
+/// contained in another match of the same range (the MO parse of
+/// Jagadish, Ng & Srivastava, PODS 1999).
+pub(crate) fn maximal_in_range<S: Summary>(
     cst: &S,
     query: &CompiledQuery,
     path: usize,
     lo: usize,
     hi: usize,
-) -> Vec<Piece> {
-    let mut pieces = Vec::new();
+    out: &mut Vec<Piece>,
+) {
     let mut best_end = lo;
-    SCRATCH.with(|scratch| {
-        let scratch = &mut *scratch.borrow_mut();
-        for start in lo..hi {
-            if !matches!(query.paths[path].tokens[start], Token::Ok(_)) {
-                continue;
-            }
-            walk_into(cst, query, path, start, &mut scratch.walk);
-            scratch.walk.truncate(hi - start);
-            if scratch.walk.is_empty() {
-                continue;
-            }
-            let end = start + scratch.walk.len();
-            // Keep only matches extending past everything seen: starts are
-            // increasing, so `end > best_end` is exactly non-containment.
+    for start in lo..hi {
+        if !matches!(query.tokens(path).get(start), Some(Token::Ok(_))) {
+            continue;
+        }
+        // Keep only matches extending past everything seen: starts are
+        // increasing, so `end > best_end` is exactly non-containment.
+        if let Some((end, trie)) = longest_match(cst, query, path, start, hi) {
             if end > best_end {
                 best_end = end;
-                if let Some(piece) = piece_at(query, path, start, &scratch.walk) {
-                    pieces.push(piece);
-                }
+                out.push(Piece { path, start, end, trie });
             }
         }
-    });
-    pieces
+    }
+}
+
+/// Drops, in place, every item `contained` in another item; of two
+/// items contained in each other the later one goes.
+pub(crate) fn retain_maximal<T: Copy>(items: &mut Vec<T>, contained: impl Fn(&T, &T) -> bool) {
+    // Kept items are compacted to `..kept`; the unvisited ones still sit
+    // after the cursor.
+    let mut kept = 0;
+    for cursor in 0..items.len() {
+        let Some((&item, later)) = items.get(cursor..).and_then(<[T]>::split_first) else {
+            break;
+        };
+        let earlier = items.get(..kept).unwrap_or(&[]);
+        let dropped = earlier.iter().any(|other| contained(&item, other))
+            || later.iter().any(|other| contained(&item, other) && !contained(other, &item));
+        if !dropped {
+            if let Some(slot) = items.get_mut(kept) {
+                *slot = item;
+            }
+            kept += 1;
+        }
+    }
+    items.truncate(kept);
 }
 
 /// Removes pieces whose region is contained in another piece's region
 /// (cross-path containment: the paper drops `a.b.c` when `a.b.c.d` from a
 /// sibling path covers it) and exact duplicates from shared prefixes.
-pub fn filter_contained(pieces: Vec<Piece>) -> Vec<Piece> {
-    let mut keep = vec![true; pieces.len()];
-    for i in 0..pieces.len() {
-        if !keep[i] {
-            continue;
-        }
-        for j in 0..pieces.len() {
-            if i == j || !keep[j] {
-                continue;
-            }
-            if pieces[i].contained_in(&pieces[j]) && !(pieces[j].contained_in(&pieces[i]) && j > i)
-            {
-                keep[i] = false;
-                break;
-            }
-        }
-    }
-    let mut kept = Vec::with_capacity(pieces.len());
-    for (piece, keep_this) in pieces.into_iter().zip(keep) {
-        if keep_this {
-            kept.push(piece);
-        }
-    }
-    kept
+pub(crate) fn filter_contained(query: &CompiledQuery, pieces: &mut Vec<Piece>) {
+    retain_maximal(pieces, |piece, other| piece.contained_in(other, query));
 }
 
 /// The **maximal** strategy: MO-parse every root-to-leaf path, then drop
-/// cross-path contained pieces.
-pub fn maximal_pieces<S: Summary>(cst: &S, query: &CompiledQuery) -> Vec<Piece> {
-    let mut pieces = Vec::new();
-    for path in 0..query.paths.len() {
-        let len = query.paths[path].tokens.len();
-        pieces.extend(maximal_in_range(cst, query, path, 0, len));
+/// cross-path contained pieces. Replaces the contents of `out`.
+pub(crate) fn maximal_pieces<S: Summary>(cst: &S, query: &CompiledQuery, out: &mut Vec<Piece>) {
+    out.clear();
+    for path in 0..query.path_count() {
+        maximal_in_range(cst, query, path, 0, query.tokens(path).len(), out);
     }
-    filter_contained(pieces)
+    filter_contained(query, out);
 }
 
 /// The **piecewise-maximal** strategy (PMOSH, Sec. 4.3): split each path
 /// into segments at root/branch/leaf boundaries (segments share their
-/// boundary node), MO-parse each segment independently.
-pub fn piecewise_maximal_pieces<S: Summary>(
+/// boundary node), MO-parse each segment independently. Replaces the
+/// contents of `out`.
+pub(crate) fn piecewise_maximal_pieces<S: Summary>(
     cst: &S,
     query: &CompiledQuery,
     twig: &Twig,
-) -> Vec<Piece> {
-    let mut pieces = Vec::new();
-    for path in 0..query.paths.len() {
-        let qpath = &query.paths[path];
-        let len = qpath.tokens.len();
+    out: &mut Vec<Piece>,
+) {
+    out.clear();
+    for path in 0..query.path_count() {
+        let units = query.units(path);
+        let len = units.len();
         // Boundaries: start of path, every branch element, end of path.
-        let mut boundaries = vec![0usize];
-        for (i, unit) in qpath.units.iter().enumerate() {
-            if let Unit::El(node) = unit {
-                if i > 0 && twig.is_branch(*node) {
-                    boundaries.push(i);
-                }
+        let branches = units.iter().enumerate().skip(1).filter_map(|(i, unit)| match unit {
+            Unit::El(node) if twig.is_branch(*node) => Some(i),
+            _ => None,
+        });
+        let mut boundaries = std::iter::once(0).chain(branches).chain([len.saturating_sub(1)]);
+        let mut previous = boundaries.next().unwrap_or(0);
+        let mut segments = 0;
+        for boundary in boundaries {
+            if boundary == previous {
+                continue;
             }
+            maximal_in_range(cst, query, path, previous, (boundary + 1).min(len), out);
+            previous = boundary;
+            segments += 1;
         }
-        boundaries.push(len.saturating_sub(1));
-        boundaries.dedup();
-        if boundaries.len() < 2 {
+        if segments == 0 {
             // Single-token path: one degenerate segment.
-            pieces.extend(maximal_in_range(cst, query, path, 0, len));
-        } else {
-            for window in boundaries.windows(2) {
-                let (lo, hi) = (window[0], (window[1] + 1).min(len));
-                pieces.extend(maximal_in_range(cst, query, path, lo, hi));
-            }
+            maximal_in_range(cst, query, path, 0, len, out);
         }
     }
-    filter_contained(pieces)
+    filter_contained(query, out);
 }
 
 /// The **greedy** strategy of Krishnan, Vitter & Iyer (SIGMOD 1996):
-/// non-overlapping longest matches,
-/// left to right. Returns `None` when some token cannot be matched at a
+/// non-overlapping longest matches, left to right, into `out`. Returns
+/// false, with `out` empty, when some token cannot be matched at a
 /// piece boundary (the estimate is then 0).
-pub fn greedy_pieces<S: Summary>(cst: &S, query: &CompiledQuery) -> Option<Vec<Piece>> {
-    SCRATCH.with(|scratch| {
-        let scratch = &mut *scratch.borrow_mut();
-        let mut pieces: Vec<Piece> = Vec::new();
-        for path in 0..query.paths.len() {
-            let qpath = &query.paths[path];
-            let mut i = 0;
-            while i < qpath.tokens.len() {
-                match qpath.tokens[i] {
-                    Token::Wild => {
-                        i += 1;
-                        continue;
-                    }
-                    Token::Unknown => return None,
-                    Token::Ok(_) => {}
+pub(crate) fn greedy_pieces<S: Summary>(
+    cst: &S,
+    query: &CompiledQuery,
+    out: &mut Vec<Piece>,
+) -> bool {
+    out.clear();
+    for path in 0..query.path_count() {
+        let tokens = query.tokens(path);
+        let mut i = 0;
+        while let Some(token) = tokens.get(i) {
+            match token {
+                Token::Wild => {
+                    i += 1;
+                    continue;
                 }
-                walk_into(cst, query, path, i, &mut scratch.walk);
-                if scratch.walk.is_empty() {
-                    return None;
+                Token::Unknown => {
+                    out.clear();
+                    return false;
                 }
-                let piece = piece_at(query, path, i, &scratch.walk)?;
-                i = piece.end;
-                // Dedup shared-prefix pieces across paths.
-                if !pieces.iter().any(|p| p.units == piece.units) {
-                    pieces.push(piece);
-                }
+                Token::Ok(_) => {}
+            }
+            let Some((end, trie)) = longest_match(cst, query, path, i, tokens.len()) else {
+                out.clear();
+                return false;
+            };
+            let piece = Piece { path, start: i, end, trie };
+            i = end;
+            // Dedup shared-prefix pieces across paths.
+            if !out.iter().any(|p| p.same_units(&piece, query)) {
+                out.push(piece);
             }
         }
-        Some(pieces)
-    })
+    }
+    true
 }
 
 /// True when every coverable unit of the query is covered by some piece
 /// (a gap means the true count is below the prune threshold; the
-/// estimators return 0).
-pub fn covers_query(query: &CompiledQuery, pieces: &[Piece]) -> bool {
-    SCRATCH.with(|scratch| {
-        let covered = &mut scratch.borrow_mut().covered;
-        covered.clear();
-        covered.extend(pieces.iter().flat_map(|p| p.units.iter().copied()));
-        query.coverable_units().all(|u| covered.contains(&u))
-    })
+/// estimators return 0). `covered` is scratch.
+pub(crate) fn covers_query(query: &CompiledQuery, pieces: &[Piece], covered: &mut UnitSet) -> bool {
+    covered.clear();
+    for piece in pieces {
+        for &unit in piece.units(query) {
+            covered.insert(query.unit_id(unit));
+        }
+    }
+    query.coverable_units().all(|unit| covered.contains(query.unit_id(unit)))
 }
 
 #[cfg(test)]
@@ -293,29 +273,39 @@ mod tests {
         (twig, query)
     }
 
+    fn maximal(cst: &Cst, query: &CompiledQuery) -> Vec<Piece> {
+        let mut pieces = Vec::new();
+        maximal_pieces(cst, query, &mut pieces);
+        pieces
+    }
+
+    fn covers(query: &CompiledQuery, pieces: &[Piece]) -> bool {
+        covers_query(query, pieces, &mut UnitSet::default())
+    }
+
     #[test]
     fn fully_present_path_is_one_piece() {
         let (_, cst) = fixture();
         let (_, query) = compiled(&cst, r#"dblp(book(author("An")))"#);
-        let pieces = maximal_pieces(&cst, &query);
+        let pieces = maximal(&cst, &query);
         assert_eq!(pieces.len(), 1);
         assert_eq!(pieces[0].len(), 5); // dblp book author 'A' 'n'
-        assert!(covers_query(&query, &pieces));
+        assert!(covers(&query, &pieces));
     }
 
     #[test]
     fn unpruned_cst_covers_positive_queries() {
         let (_, cst) = fixture();
         let (_, query) = compiled(&cst, r#"book(author("Bo"),year("2000"))"#);
-        let pieces = maximal_pieces(&cst, &query);
-        assert!(covers_query(&query, &pieces));
+        let pieces = maximal(&cst, &query);
+        assert!(covers(&query, &pieces));
     }
 
     #[test]
     fn shared_prefix_deduplicated() {
         let (_, cst) = fixture();
         let (_, query) = compiled(&cst, r#"dblp(book(author,year))"#);
-        let pieces = maximal_pieces(&cst, &query);
+        let pieces = maximal(&cst, &query);
         // dblp.book.author and dblp.book.year both fully present; neither
         // contains the other, both kept exactly once.
         assert_eq!(pieces.len(), 2);
@@ -327,17 +317,19 @@ mod tests {
         // author "Bo" exists, year 1999 exists, but "Bo"+"1999" books do
         // not — paths still parse individually.
         let (_, query) = compiled(&cst, r#"book(author("Bo"),year("1999"))"#);
-        let pieces = maximal_pieces(&cst, &query);
-        assert!(covers_query(&query, &pieces));
+        let pieces = maximal(&cst, &query);
+        assert!(covers(&query, &pieces));
     }
 
     #[test]
     fn unknown_label_leaves_gap() {
         let (_, cst) = fixture();
         let (_, query) = compiled(&cst, "book(publisher)");
-        let pieces = maximal_pieces(&cst, &query);
-        assert!(!covers_query(&query, &pieces));
-        assert!(greedy_pieces(&cst, &query).is_none());
+        let pieces = maximal(&cst, &query);
+        assert!(!covers(&query, &pieces));
+        let mut greedy = Vec::new();
+        assert!(!greedy_pieces(&cst, &query, &mut greedy));
+        assert!(greedy.is_empty());
     }
 
     #[test]
@@ -350,9 +342,9 @@ mod tests {
         )
         .expect("CST config is valid");
         let (_, query) = compiled(&cst, r#"dblp(book(author))"#);
-        let pieces = maximal_pieces(&cst, &query);
+        let pieces = maximal(&cst, &query);
         // dblp.book.author has pc=3 so it's one piece even here.
-        assert!(covers_query(&query, &pieces));
+        assert!(covers(&query, &pieces));
         for w in pieces.windows(2) {
             assert!(w[1].start <= w[0].end, "maximal pieces must chain");
         }
@@ -362,30 +354,33 @@ mod tests {
     fn greedy_pieces_do_not_overlap() {
         let (_, cst) = fixture();
         let (_, query) = compiled(&cst, r#"book(author("An"),year("1999"))"#);
-        let pieces = greedy_pieces(&cst, &query).unwrap();
+        let mut pieces = Vec::new();
+        assert!(greedy_pieces(&cst, &query, &mut pieces));
         for w in pieces.windows(2) {
             if w[0].path == w[1].path {
                 assert!(w[1].start >= w[0].end);
             }
         }
-        assert!(covers_query(&query, &pieces));
+        assert!(covers(&query, &pieces));
     }
 
     #[test]
     fn piecewise_segments_at_branch() {
         let (_, cst) = fixture();
         let (twig, query) = compiled(&cst, r#"dblp(book(author("An"),year("1999")))"#);
-        let pieces = piecewise_maximal_pieces(&cst, &query, &twig);
+        let mut pieces = Vec::new();
+        piecewise_maximal_pieces(&cst, &query, &twig, &mut pieces);
         // Segments: dblp.book, book.author.An, book.year.1999 — pieces
         // cannot span the branch node `book` together with both sides.
-        assert!(covers_query(&query, &pieces));
-        let book_unit = query.paths[0].units[1];
+        assert!(covers(&query, &pieces));
+        let book_unit = query.units(0)[1];
         for piece in &pieces {
-            if piece.units.contains(&book_unit) && piece.len() > 1 {
+            let units = piece.units(&query);
+            if units.contains(&book_unit) && piece.len() > 1 {
                 // A piece through `book` stays within one segment: it may
                 // not contain both an author unit and a year unit.
-                let has_author = piece.units.contains(&query.paths[0].units[2]);
-                let has_year = piece.units.contains(&query.paths[1].units[2]);
+                let has_author = units.contains(&query.units(0)[2]);
+                let has_year = units.contains(&query.units(1)[2]);
                 assert!(!(has_author && has_year));
             }
         }
@@ -395,29 +390,47 @@ mod tests {
     fn containment_filter_drops_nested() {
         let (_, cst) = fixture();
         let (_, query) = compiled(&cst, r#"dblp(book(author("An")))"#);
-        let mut pieces = maximal_pieces(&cst, &query);
+        let mut pieces = maximal(&cst, &query);
         // Manufacture a contained piece: the prefix of the full piece.
-        let full = pieces[0].clone();
+        let full = pieces[0];
         let sub = Piece {
             path: full.path,
             start: full.start,
             end: full.end - 1,
             trie: cst.trie().parent(full.trie).expect("full piece has depth > 1"),
-            units: full.units[..full.units.len() - 1].to_vec(),
         };
-        pieces.push(sub);
-        let filtered = filter_contained(pieces);
-        assert_eq!(filtered.len(), 1);
-        assert_eq!(filtered[0].units, full.units);
+        pieces.insert(0, sub);
+        pieces.push(full);
+        filter_contained(&query, &mut pieces);
+        assert_eq!(pieces, [full], "the prefix and the later duplicate both go");
+    }
+
+    #[test]
+    fn containment_follows_units_across_paths() {
+        let (_, cst) = fixture();
+        let (_, query) = compiled(&cst, r#"dblp(book(author("An"),year("1999")))"#);
+        let on = |path: usize, start: usize, end: usize| Piece {
+            path,
+            start,
+            end,
+            trie: twig_pst::TrieNodeId::ROOT,
+        };
+        // dblp.book is shared by both paths; book.author is not on the
+        // year path.
+        assert!(on(0, 0, 2).contained_in(&on(1, 0, 4), &query));
+        assert!(on(0, 0, 2).same_units(&on(1, 0, 2), &query));
+        assert!(!on(0, 1, 3).contained_in(&on(1, 0, 4), &query));
+        assert!(!on(0, 0, 3).same_units(&on(1, 0, 3), &query));
+        assert!(!on(0, 0, 3).contained_in(&on(0, 1, 5), &query), "range must span");
     }
 
     #[test]
     fn wildcard_splits_parse() {
         let (_, cst) = fixture();
         let (_, query) = compiled(&cst, r#"dblp(*(author("An")))"#);
-        let pieces = maximal_pieces(&cst, &query);
+        let pieces = maximal(&cst, &query);
         // Two pieces: "dblp" and "author.An"; the wildcard is exempt.
-        assert!(covers_query(&query, &pieces));
-        assert!(pieces.iter().all(|p| p.units.len() <= 3));
+        assert!(covers(&query, &pieces));
+        assert!(pieces.iter().all(|p| p.units(&query).len() <= 3));
     }
 }

@@ -1,10 +1,14 @@
 //! Query compilation: a twig becomes token sequences over the CST
 //! vocabulary, with every token tied back to the query node it covers.
+//!
+//! A compiled query is the one structure every later stage indexes
+//! into: a parsed subpath is a token range of one of its paths, and a
+//! set of covered query units is a bitset over its dense unit ids.
 
-use twig_pst::PathToken;
+use twig_pst::{PathToken, TrieNodeId};
 use twig_tree::{Twig, TwigLabel, TwigNodeId};
 
-use crate::summary::Summary;
+use crate::summary::{Summary, TrieAccess};
 
 /// One coverable position of the query tree.
 ///
@@ -31,69 +35,200 @@ pub enum Token {
     Wild,
 }
 
-/// One compiled root-to-leaf query path.
-#[derive(Debug, Clone)]
-pub struct QPath {
-    /// Tokens, one per unit.
-    pub tokens: Vec<Token>,
-    /// The query unit each token covers.
-    pub units: Vec<Unit>,
-    /// The query nodes along the path (elements and the optional leaf).
-    pub nodes: Vec<TwigNodeId>,
-}
-
-/// The compiled query: all root-to-leaf paths.
-#[derive(Debug, Clone)]
+/// The compiled query: all root-to-leaf paths, stored back to back.
+///
+/// Token `i` of a path covers unit `i` of it, and `i` is that unit's
+/// depth in the query tree, so two paths hold the same unit at the same
+/// index exactly up to the point where they diverge. Compiling again
+/// into the same value reuses its buffers.
+#[derive(Debug, Clone, Default)]
 pub struct CompiledQuery {
-    /// Paths in query-DFS order.
-    pub paths: Vec<QPath>,
+    /// Tokens of every path, in query-DFS order.
+    tokens: Vec<Token>,
+    /// The query unit each token covers.
+    units: Vec<Unit>,
+    /// One past the last token of each path.
+    path_ends: Vec<usize>,
     /// Branch query nodes (two or more children).
-    pub branches: Vec<TwigNodeId>,
+    branches: Vec<TwigNodeId>,
+    /// Dense id of each query node's first unit.
+    unit_base: Vec<usize>,
+    /// Compile-time buffers: each node's resolved element token, the
+    /// DFS stack of (node, depth) and the current root-to-node trail.
+    node_tokens: Vec<Token>,
+    stack: Vec<(TwigNodeId, usize)>,
+    trail: Vec<TwigNodeId>,
 }
 
 impl CompiledQuery {
     /// Compiles `twig` against the summary's label vocabulary.
     pub fn compile<S: Summary>(cst: &S, twig: &Twig) -> Self {
-        let mut paths = Vec::new();
-        for node_path in twig.root_to_leaf_paths() {
-            let mut tokens = Vec::new();
-            let mut units = Vec::new();
-            for &node in &node_path {
+        let mut query = CompiledQuery::default();
+        query.recompile(cst, twig);
+        query
+    }
+
+    /// Compiles `twig` into this value, reusing its buffers.
+    pub(crate) fn recompile<S: Summary>(&mut self, cst: &S, twig: &Twig) {
+        self.tokens.clear();
+        self.units.clear();
+        self.path_ends.clear();
+        self.branches.clear();
+        self.unit_base.clear();
+        self.node_tokens.clear();
+        // Per node, in id order: its first dense unit id, its token (each
+        // label is resolved once, however many paths pass through it; a
+        // value leaf's is unused, as it spells one char token per byte)
+        // and whether it branches.
+        let mut next_unit = 0;
+        for index in 0..twig.node_count() {
+            let node = TwigNodeId(u32::try_from(index).unwrap_or(u32::MAX));
+            self.unit_base.push(next_unit);
+            let (token, units) = match twig.label(node) {
+                TwigLabel::Element(name) => match cst.symbol(name) {
+                    Some(sym) => (Token::Ok(PathToken::Element(sym)), 1),
+                    None => (Token::Unknown, 1),
+                },
+                TwigLabel::Value(value) => (Token::Wild, value.len()),
+                TwigLabel::Star => (Token::Wild, 1),
+            };
+            self.node_tokens.push(token);
+            next_unit = next_unit.saturating_add(units);
+            if twig.is_branch(node) {
+                self.branches.push(node);
+            }
+        }
+        // Root-to-leaf paths in DFS order.
+        self.stack.clear();
+        self.trail.clear();
+        self.stack.push((twig.root(), 0));
+        while let Some((node, depth)) = self.stack.pop() {
+            self.trail.truncate(depth);
+            self.trail.push(node);
+            let children = twig.children(node);
+            if !children.is_empty() {
+                self.stack.extend(children.iter().rev().map(|&child| (child, depth + 1)));
+                continue;
+            }
+            for &node in &self.trail {
                 match twig.label(node) {
-                    TwigLabel::Element(name) => {
-                        tokens.push(match cst.symbol(name) {
-                            Some(sym) => Token::Ok(PathToken::Element(sym)),
-                            None => Token::Unknown,
-                        });
-                        units.push(Unit::El(node));
-                    }
                     TwigLabel::Value(value) => {
                         for (i, byte) in value.bytes().enumerate() {
-                            tokens.push(Token::Ok(PathToken::Char(byte)));
-                            units.push(Unit::Ch(node, i as u16));
+                            self.tokens.push(Token::Ok(PathToken::Char(byte)));
+                            self.units.push(Unit::Ch(node, i as u16));
                         }
                     }
-                    TwigLabel::Star => {
-                        tokens.push(Token::Wild);
-                        units.push(Unit::El(node));
+                    TwigLabel::Element(_) | TwigLabel::Star => {
+                        self.tokens.push(
+                            self.node_tokens.get(node.index()).copied().unwrap_or(Token::Unknown),
+                        );
+                        self.units.push(Unit::El(node));
                     }
                 }
             }
-            paths.push(QPath { tokens, units, nodes: node_path });
+            self.path_ends.push(self.tokens.len());
         }
-        CompiledQuery { paths, branches: twig.branch_nodes() }
+    }
+
+    /// Number of root-to-leaf paths.
+    pub fn path_count(&self) -> usize {
+        self.path_ends.len()
+    }
+
+    /// The token positions of `path` in the back-to-back arrays.
+    fn span(&self, path: usize) -> std::ops::Range<usize> {
+        let start = match path.checked_sub(1) {
+            Some(previous) => self.path_ends.get(previous).copied().unwrap_or(0),
+            None => 0,
+        };
+        start..self.path_ends.get(path).copied().unwrap_or(start)
+    }
+
+    /// The tokens of `path`, one per unit.
+    pub(crate) fn tokens(&self, path: usize) -> &[Token] {
+        self.tokens.get(self.span(path)).unwrap_or(&[])
+    }
+
+    /// The query units `path` covers, root first.
+    pub(crate) fn units(&self, path: usize) -> &[Unit] {
+        self.units.get(self.span(path)).unwrap_or(&[])
+    }
+
+    /// Branch query nodes (two or more children), in id order.
+    pub fn branches(&self) -> &[TwigNodeId] {
+        &self.branches
+    }
+
+    /// The dense id of `unit`.
+    pub(crate) fn unit_id(&self, unit: Unit) -> usize {
+        match unit {
+            Unit::El(node) => self.unit_base.get(node.index()).copied().unwrap_or(0),
+            Unit::Ch(node, index) => {
+                self.unit_base.get(node.index()).copied().unwrap_or(0) + usize::from(index)
+            }
+        }
+    }
+
+    /// The trie node spelled by tokens `start..end` of `path`, walked
+    /// from the root; `None` when some token is not in the trie (or is
+    /// not a resolved token at all).
+    pub(crate) fn lookup<S: Summary>(
+        &self,
+        cst: &S,
+        path: usize,
+        start: usize,
+        end: usize,
+    ) -> Option<TrieNodeId> {
+        let trie = cst.trie();
+        let mut node = TrieNodeId::ROOT;
+        for token in self.tokens(path).get(start..end)? {
+            let Token::Ok(token) = token else { return None };
+            node = trie.child(node, token.edge())?;
+        }
+        Some(node)
     }
 
     /// All units that must be covered by parsed subpaths (wildcards are
     /// exempt).
     pub fn coverable_units(&self) -> impl Iterator<Item = Unit> + '_ {
-        self.paths.iter().flat_map(|path| {
-            path.tokens
-                .iter()
-                .zip(&path.units)
-                .filter(|(token, _)| !matches!(token, Token::Wild))
-                .map(|(_, &unit)| unit)
-        })
+        self.tokens
+            .iter()
+            .zip(&self.units)
+            .filter(|(token, _)| !matches!(token, Token::Wild))
+            .map(|(_, &unit)| unit)
+    }
+}
+
+/// A set of query units: one bit per dense unit id of its query,
+/// growing to the highest id inserted.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct UnitSet {
+    words: Vec<u64>,
+}
+
+impl UnitSet {
+    pub(crate) fn clear(&mut self) {
+        self.words.clear();
+    }
+
+    pub(crate) fn insert(&mut self, id: usize) {
+        let (word, mask) = Self::bit(id);
+        while self.words.len() <= word {
+            self.words.push(0);
+        }
+        if let Some(word) = self.words.get_mut(word) {
+            *word |= mask;
+        }
+    }
+
+    pub(crate) fn contains(&self, id: usize) -> bool {
+        let (word, mask) = Self::bit(id);
+        self.words.get(word).is_some_and(|word| word & mask != 0)
+    }
+
+    /// The word holding `id`'s bit, and the bit's mask in it.
+    fn bit(id: usize) -> (usize, u64) {
+        (id / 64, 1u64.wrapping_shl((id % 64) as u32))
     }
 }
 
@@ -116,13 +251,18 @@ mod tests {
         let cst = cst();
         let twig = Twig::parse(r#"book(author("A1"),year("Y1"))"#).unwrap();
         let compiled = CompiledQuery::compile(&cst, &twig);
-        assert_eq!(compiled.paths.len(), 2);
+        assert_eq!(compiled.path_count(), 2);
         // book, author, 'A', '1'
-        assert_eq!(compiled.paths[0].tokens.len(), 4);
-        assert!(matches!(compiled.paths[0].units[0], Unit::El(_)));
-        assert!(matches!(compiled.paths[0].units[2], Unit::Ch(_, 0)));
-        assert!(matches!(compiled.paths[0].units[3], Unit::Ch(_, 1)));
-        assert_eq!(compiled.branches.len(), 1);
+        assert_eq!(compiled.tokens(0).len(), 4);
+        assert!(matches!(compiled.units(0)[0], Unit::El(_)));
+        assert!(matches!(compiled.units(0)[2], Unit::Ch(_, 0)));
+        assert!(matches!(compiled.units(0)[3], Unit::Ch(_, 1)));
+        assert_eq!(compiled.branches().len(), 1);
+        // Dense unit ids: one per element, one per value byte.
+        let mut ids: Vec<usize> = compiled.coverable_units().map(|u| compiled.unit_id(u)).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids, (0..7).collect::<Vec<_>>());
     }
 
     #[test]
@@ -130,8 +270,8 @@ mod tests {
         let cst = cst();
         let twig = Twig::parse(r#"book(author("A1"),year("Y1"))"#).unwrap();
         let compiled = CompiledQuery::compile(&cst, &twig);
-        assert_eq!(compiled.paths[0].units[0], compiled.paths[1].units[0]);
-        assert_ne!(compiled.paths[0].units[1], compiled.paths[1].units[1]);
+        assert_eq!(compiled.units(0)[0], compiled.units(1)[0]);
+        assert_ne!(compiled.units(0)[1], compiled.units(1)[1]);
     }
 
     #[test]
@@ -139,7 +279,28 @@ mod tests {
         let cst = cst();
         let twig = Twig::parse("book(nosuchlabel)").unwrap();
         let compiled = CompiledQuery::compile(&cst, &twig);
-        assert!(matches!(compiled.paths[0].tokens[1], Token::Unknown));
+        assert!(matches!(compiled.tokens(0)[1], Token::Unknown));
+    }
+
+    #[test]
+    fn recompiling_reuses_the_value_and_matches_a_fresh_compile() {
+        let cst = cst();
+        let mut reused =
+            CompiledQuery::compile(&cst, &Twig::parse(r#"book(author("A1"),year("Y1"))"#).unwrap());
+        for expr in ["book", r#"book(*(year("Y1")),author)"#, r#"book(author("A1"))"#] {
+            let twig = Twig::parse(expr).unwrap();
+            reused.recompile(&cst, &twig);
+            let fresh = CompiledQuery::compile(&cst, &twig);
+            assert_eq!(reused.path_count(), fresh.path_count(), "{expr}");
+            for path in 0..fresh.path_count() {
+                assert_eq!(reused.tokens(path), fresh.tokens(path), "{expr}");
+                assert_eq!(reused.units(path), fresh.units(path), "{expr}");
+            }
+            assert_eq!(reused.branches(), fresh.branches(), "{expr}");
+            let ids =
+                |q: &CompiledQuery| q.coverable_units().map(|u| q.unit_id(u)).collect::<Vec<_>>();
+            assert_eq!(ids(&reused), ids(&fresh), "{expr}");
+        }
     }
 
     #[test]
@@ -147,8 +308,8 @@ mod tests {
         let cst = cst();
         let twig = Twig::parse(r#"book(*(year("Y1")))"#).unwrap();
         let compiled = CompiledQuery::compile(&cst, &twig);
-        assert!(matches!(compiled.paths[0].tokens[1], Token::Wild));
+        assert!(matches!(compiled.tokens(0)[1], Token::Wild));
         let coverable: Vec<Unit> = compiled.coverable_units().collect();
-        assert_eq!(coverable.len(), compiled.paths[0].tokens.len() - 1);
+        assert_eq!(coverable.len(), compiled.tokens(0).len() - 1);
     }
 }

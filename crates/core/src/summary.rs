@@ -26,9 +26,6 @@ pub trait TrieAccess {
 
     /// The parent of `node`, or `None` for the root.
     fn parent(&self, node: TrieNodeId) -> Option<TrieNodeId>;
-
-    /// The token sequence spelled by the root-to-`node` path.
-    fn tokens_of(&self, node: TrieNodeId) -> Vec<PathToken>;
 }
 
 impl TrieAccess for &PrunedTrie {
@@ -40,11 +37,6 @@ impl TrieAccess for &PrunedTrie {
     #[inline]
     fn parent(&self, node: TrieNodeId) -> Option<TrieNodeId> {
         PrunedTrie::parent(self, node)
-    }
-
-    #[inline]
-    fn tokens_of(&self, node: TrieNodeId) -> Vec<PathToken> {
-        PrunedTrie::tokens_of(self, node)
     }
 }
 

@@ -153,7 +153,7 @@ impl AnySummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use twig_core::{CstConfig, Summary, TrieAccess};
+    use twig_core::CstConfig;
     use twig_tree::DataTree;
 
     fn small_cst() -> Cst {
@@ -198,7 +198,6 @@ mod tests {
         for node in cst.trie().node_ids() {
             let tokens = cst.trie().tokens_of(node);
             assert_eq!(flat.lookup(&tokens), Some(node));
-            assert_eq!(Summary::trie(&flat).tokens_of(node), tokens);
         }
     }
 

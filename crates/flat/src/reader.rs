@@ -417,29 +417,6 @@ impl FlatCst {
         (raw != u32::MAX && (raw as usize) < node.index()).then_some(TrieNodeId(raw))
     }
 
-    /// The token sequence spelled by the root-to-`node` path (empty for
-    /// the root, and for unreadable or corrupt node chains).
-    #[inline]
-    fn tokens_of_node(&self, node: TrieNodeId) -> Vec<PathToken> {
-        let mut reversed = Vec::new();
-        let mut cursor = node;
-        while cursor.index() != 0 {
-            if cursor.index() >= self.node_count() {
-                return Vec::new();
-            }
-            let Some(edge_raw) = self.node_u32(SectionKind::NodeEdge, cursor.index()) else {
-                return Vec::new();
-            };
-            reversed.push(EdgeKey::from_raw(edge_raw).token());
-            match self.parent_of(cursor) {
-                Some(parent) => cursor = parent,
-                None => return Vec::new(),
-            }
-        }
-        reversed.reverse();
-        reversed
-    }
-
     /// Looks up the trie node for a token sequence, if fully present.
     pub fn lookup(&self, tokens: &[PathToken]) -> Option<TrieNodeId> {
         let mut node = TrieNodeId(0);
@@ -532,11 +509,6 @@ impl TrieAccess for FlatTrie<'_> {
     #[inline]
     fn parent(&self, node: TrieNodeId) -> Option<TrieNodeId> {
         self.cst.parent_of(node)
-    }
-
-    #[inline]
-    fn tokens_of(&self, node: TrieNodeId) -> Vec<PathToken> {
-        self.cst.tokens_of_node(node)
     }
 }
 

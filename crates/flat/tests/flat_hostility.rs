@@ -35,21 +35,25 @@ fn sample_flat_bytes() -> Vec<u8> {
     writer::pack(&cst).expect("sample packs")
 }
 
-fn sample_query() -> Twig {
-    Twig::parse(r#"book(author("A"),year("19"))"#).expect("query parses")
+/// The second twig's chains share the two-unit prefix `dblp.book`, so
+/// its occurrence estimates recurse on a substar.
+fn sample_queries() -> [Twig; 2] {
+    [r#"book(author("A"),year("19"))"#, r#"dblp(book(author("A"),year("19")))"#]
+        .map(|text| Twig::parse(text).expect("query parses"))
 }
 
 /// Estimation over a possibly-degraded summary must stay finite and
 /// non-negative, and must never panic.
 fn assert_estimates_sane(flat: &FlatCst, context: &str) {
-    let query = sample_query();
-    for algorithm in Algorithm::ALL {
-        for kind in [CountKind::Presence, CountKind::Occurrence] {
-            let estimate = flat.estimate(&query, algorithm, kind);
-            assert!(
-                estimate.is_finite() && estimate >= 0.0,
-                "{context}: poisoned {algorithm} {kind:?}: {estimate}"
-            );
+    for query in sample_queries() {
+        for algorithm in Algorithm::ALL {
+            for kind in [CountKind::Presence, CountKind::Occurrence] {
+                let estimate = flat.estimate(&query, algorithm, kind);
+                assert!(
+                    estimate.is_finite() && estimate >= 0.0,
+                    "{context}: poisoned {algorithm} {kind:?} {query}: {estimate}"
+                );
+            }
         }
     }
 }

@@ -63,7 +63,21 @@ pub struct Twig {
 impl Twig {
     /// Creates a twig with only a root node.
     pub fn with_root(label: TwigLabel) -> Self {
-        Self { labels: vec![label], parent: vec![None], children: vec![Vec::new()] }
+        Self::with_root_and_capacity(label, 1)
+    }
+
+    /// A twig with only a root node whose node vectors hold `nodes`
+    /// nodes before they grow.
+    fn with_root_and_capacity(label: TwigLabel, nodes: usize) -> Self {
+        let mut twig = Self {
+            labels: Vec::with_capacity(nodes),
+            parent: Vec::with_capacity(nodes),
+            children: Vec::with_capacity(nodes),
+        };
+        twig.labels.push(label);
+        twig.parent.push(None);
+        twig.children.push(Vec::new());
+        twig
     }
 
     /// Convenience: a root element node.
@@ -202,7 +216,10 @@ impl Twig {
 
     /// Parses the expression syntax described in the module docs.
     pub fn parse(input: &str) -> Result<Self, String> {
-        let mut parser = ExprParser { input: input.as_bytes(), pos: 0 };
+        // Every node but the root follows a `(` or a `,`, so this bounds
+        // the node count without exceeding the input's length.
+        let nodes = input.bytes().filter(|&b| b == b'(' || b == b',').count().saturating_add(1);
+        let mut parser = ExprParser { input: input.as_bytes(), pos: 0, nodes };
         let twig = parser.parse_root()?;
         parser.skip_ws();
         if parser.pos != parser.input.len() {
@@ -241,13 +258,15 @@ impl fmt::Display for Twig {
 struct ExprParser<'a> {
     input: &'a [u8],
     pos: usize,
+    /// Upper bound on the twig's node count, to size its vectors once.
+    nodes: usize,
 }
 
 impl ExprParser<'_> {
     fn parse_root(&mut self) -> Result<Twig, String> {
         self.skip_ws();
         let label = self.parse_label()?;
-        let mut twig = Twig::with_root(label);
+        let mut twig = Twig::with_root_and_capacity(label, self.nodes);
         let root = twig.root();
         self.parse_children(&mut twig, root)?;
         Ok(twig)
