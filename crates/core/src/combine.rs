@@ -15,7 +15,8 @@
 //! present); a subtree-shaped overlap is itself estimated with set hashing
 //! — the "overlaps themselves are subtrees" case the paper calls out.
 
-use twig_sethash::{view_estimate_intersection, view_estimate_union_size, view_resemblance};
+use twig_sethash::SigRows;
+use twig_util::cast::count_to_f64;
 
 use crate::estimate::CountKind;
 use crate::parse::Piece;
@@ -111,6 +112,8 @@ struct RegionScratch {
     unique: Vec<Piece>,
     /// The star's chains, with the substars of its recursion pushed above.
     stack: Vec<Piece>,
+    /// One star's signatures.
+    rows: SigRows,
 }
 
 /// Count (presence or occurrence) of a single CST chain.
@@ -132,7 +135,7 @@ fn estimate_region<S: Summary>(
     kind: CountKind,
     scratch: &mut RegionScratch,
 ) -> f64 {
-    let RegionScratch { unique, stack } = scratch;
+    let RegionScratch { unique, stack, rows } = scratch;
     // Dedup identical unit chains (shared prefixes across paths).
     unique.clear();
     for chain in chains {
@@ -155,11 +158,12 @@ fn estimate_region<S: Summary>(
         [] => 0.0,
         [chain] => chain_count(cst, chain, kind),
         _ => match kind {
-            CountKind::Presence => star_presence(cst, query, stack),
+            CountKind::Presence => star_presence(cst, query, stack, rows),
             // Every presence yields at least one mapping, so the
             // occurrence estimate is floored at the presence estimate.
             CountKind::Occurrence => {
-                star_occurrence(cst, query, stack, 0).max(star_presence(cst, query, stack))
+                let presence = star_presence(cst, query, stack, rows);
+                star_occurrence(cst, query, stack, 0, presence, rows).max(presence)
             }
         },
     }
@@ -177,7 +181,8 @@ fn common_prefix(query: &CompiledQuery, chains: &[Piece]) -> usize {
     lcp
 }
 
-/// Occurrence estimate for the star of ≥ 2 chains `stack[from..]`.
+/// Occurrence estimate for the star of ≥ 2 chains `stack[from..]`,
+/// whose presence estimate is `presence`.
 ///
 /// When the chains diverge right after their shared start unit — the
 /// common twiglet shape — this is the paper's Sec. 5 formula: presence
@@ -201,13 +206,14 @@ fn star_occurrence<S: Summary>(
     query: &CompiledQuery,
     stack: &mut Vec<Piece>,
     from: usize,
+    presence: f64,
+    rows: &mut SigRows,
 ) -> f64 {
     let chains = stack.get(from..).unwrap_or(&[]);
     let lcp = common_prefix(query, chains);
     debug_assert!(lcp >= 1, "star chains share their start unit");
     if lcp <= 1 {
         // Base case: the paper's formula.
-        let presence = star_presence(cst, query, chains);
         let mut scale = 1.0;
         for chain in chains {
             let cp = cst.presence(chain.trie) as f64;
@@ -227,14 +233,15 @@ fn star_occurrence<S: Summary>(
         let start = chain.start + divergence;
         // Present by the monotonicity property.
         let Some(trie) = query.lookup(cst, chain.path, start, chain.end) else {
-            // Defensive: fall back to the base-case formula on the full
-            // chains rather than returning a wrong scale.
+            // Defensive: fall back to the full star's presence rather
+            // than returning a wrong scale.
             stack.truncate(top);
-            return star_presence(cst, query, stack.get(from..).unwrap_or(&[]));
+            return presence;
         };
         stack.push(Piece { path: chain.path, start, end: chain.end, trie });
     }
-    let sub_occurrence = star_occurrence(cst, query, stack, top);
+    let sub_presence = star_presence(cst, query, stack.get(top..).unwrap_or(&[]), rows);
+    let sub_occurrence = star_occurrence(cst, query, stack, top, sub_presence, rows);
     stack.truncate(top);
     // Context: what fraction of branch-label instances lie under the
     // shared prefix chain?
@@ -250,7 +257,7 @@ fn star_occurrence<S: Summary>(
 }
 
 /// Presence estimate for a star of ≥ 2 chains: set-hash intersection of
-/// the chains' rooting sets.
+/// the chains' rooting sets, their signatures decoded into `rows`.
 ///
 /// Min-hash with `L` components cannot resolve resemblances below `~1/L`:
 /// a zero-match signature comparison only tells us the intersection is
@@ -258,23 +265,27 @@ fn star_occurrence<S: Summary>(
 /// estimate falls back to the independence product (the pure-MO
 /// assumption), capped by the resolution bound — so set hashing improves
 /// on MO where it can see, and never zeroes out a query it cannot.
-fn star_presence<S: Summary>(cst: &S, query: &CompiledQuery, chains: &[Piece]) -> f64 {
+fn star_presence<S: Summary>(
+    cst: &S,
+    query: &CompiledQuery,
+    chains: &[Piece],
+    rows: &mut SigRows,
+) -> f64 {
     let independence = conditional_independence(cst, query, chains);
-    let mut sets = Vec::with_capacity(chains.len());
+    rows.clear(cst.signature_len());
     for chain in chains {
         match cst.signature(chain.trie) {
-            Some(sig) => sets.push((sig, cst.presence(chain.trie))),
+            Some(sig) => rows.add_signature(sig, cst.presence(chain.trie)),
             // No signature (signature-free summary, or a pure string
             // fragment): conditional independence is all we have.
             None => return independence,
         }
     }
-    if sets.iter().any(|&(_, size)| size == 0) {
+    if rows.min_size() == 0 {
         return 0.0; // genuinely empty set: the intersection is empty
     }
-    let signatures: Vec<_> = sets.iter().map(|&(sig, _)| sig).collect();
     let len = cst.signature_len().max(1) as f64;
-    let matches = (view_resemblance(&signatures) * len).round();
+    let matches = (rows.resemblance() * len).round();
     if matches == 0.0 {
         return match cst.fallback() {
             // The paper's literal formula: ρ̂ = 0 ⇒ |∩| = 0.
@@ -283,19 +294,19 @@ fn star_presence<S: Summary>(cst: &S, query: &CompiledQuery, chains: &[Piece]) -
             // bound of roughly |∪|/L on the intersection; fall back to
             // the MO-style no-correlation estimate under that bound.
             crate::cst::SignatureFallback::ConditionalIndependence => {
-                let resolution = view_estimate_union_size(&sets) / len;
+                let resolution = rows.estimate_union_size() / len;
                 independence.min(resolution)
             }
         };
     }
-    let estimate = view_estimate_intersection(&sets);
+    let estimate = rows.estimate_intersection();
     // Shrink toward the no-correlation baseline in proportion to the
     // evidence: with m matching components the resemblance estimate has
     // relative error ~1/√m, so a single match (which overstates weak
     // correlations by up to L×) moves the estimate only one third of the
     // way from independence. Strong signals (m ≫ 1) dominate quickly.
     let weight = matches / (matches + 2.0);
-    let min_size = sets.iter().map(|&(_, size)| size).min().expect("non-empty") as f64;
+    let min_size = count_to_f64(rows.min_size());
     (weight * estimate + (1.0 - weight) * independence).min(min_size)
 }
 
@@ -312,9 +323,10 @@ fn conditional_independence<S: Summary>(cst: &S, query: &CompiledQuery, chains: 
     // healthy summary always has the parents (the chain is `len()`
     // deep); a degraded one (flat reader with a poisoned parent section)
     // may not — treat that as an empty region rather than panicking.
+    let trie = cst.trie();
     let mut prefix_node = first.trie;
     for _ in 0..(first.len() - lcp) {
-        match cst.trie().parent(prefix_node) {
+        match trie.parent(prefix_node) {
             Some(parent) => prefix_node = parent,
             None => return 0.0,
         }
@@ -409,6 +421,11 @@ pub(crate) fn combine<S: Summary>(
         }
         let CombineScratch { covered, overlaps, region } = &mut *scratch;
         let numerator = estimate_region(cst, query, chains, kind, region);
+        if numerator <= 0.0 && trace.is_none() {
+            // The product is 0 whatever the overlap; only a trace shows
+            // the denominator.
+            return 0.0;
+        }
         overlap_chains(cst, query, chains, covered, overlaps);
         let denominator = if overlaps.is_empty() {
             n

@@ -7,7 +7,8 @@
 //! the owned structure and produces bit-identical estimates. Signatures
 //! are exposed as borrowed [`SigView`]s, which abstract over typed `u32`
 //! words (owned storage) and raw little-endian bytes (flat storage)
-//! without copying either.
+//! without copying either; the set-hash estimators decode each star's
+//! views once into reused word rows (`twig_sethash::SigRows`).
 
 use twig_pst::{EdgeKey, PathToken, PrunedTrie, TrieNodeId};
 use twig_sethash::SigView;

@@ -378,50 +378,12 @@ impl FlatCst {
         self.section(SectionKind::NodeFlags).get(node.index()).is_some_and(|flag| flag & 1 != 0)
     }
 
-    /// The child of `node` along `edge`, by binary search over the
-    /// node's CSR row.
-    #[inline]
-    fn child_of(&self, node: TrieNodeId, edge: EdgeKey) -> Option<TrieNodeId> {
-        if node.index() >= self.node_count() {
-            return None;
-        }
-        let starts = self.section(SectionKind::ChildStart);
-        let mut lo = read_u32(starts, node.index().checked_mul(4)?)? as usize;
-        let mut hi = read_u32(starts, node.index().checked_add(1)?.checked_mul(4)?)? as usize;
-        if lo > hi {
-            return None;
-        }
-        let edges = self.section(SectionKind::ChildEdge);
-        let raw = edge.raw();
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            let probe = read_u32(edges, mid.checked_mul(4)?)?;
-            if probe < raw {
-                lo = mid + 1;
-            } else if probe > raw {
-                hi = mid;
-            } else {
-                let target = read_u32(self.section(SectionKind::ChildTarget), mid.checked_mul(4)?)?;
-                return ((target as usize) < self.node_count()).then_some(TrieNodeId(target));
-            }
-        }
-        None
-    }
-
-    /// The parent of `node`, or `None` for the root. Corrupt parent
-    /// pointers (id not strictly below the child's) read as `None`, so
-    /// root-ward walks always terminate.
-    #[inline]
-    fn parent_of(&self, node: TrieNodeId) -> Option<TrieNodeId> {
-        let raw = self.node_u32(SectionKind::NodeParent, node.index())?;
-        (raw != u32::MAX && (raw as usize) < node.index()).then_some(TrieNodeId(raw))
-    }
-
     /// Looks up the trie node for a token sequence, if fully present.
     pub fn lookup(&self, tokens: &[PathToken]) -> Option<TrieNodeId> {
-        let mut node = TrieNodeId(0);
+        let trie = self.trie();
+        let mut node = TrieNodeId::ROOT;
         for token in tokens {
-            node = self.child_of(node, token.edge())?;
+            node = trie.child(node, token.edge())?;
         }
         Some(node)
     }
@@ -494,30 +456,85 @@ impl std::fmt::Debug for FlatCst {
     }
 }
 
-/// The borrowed trie view of a [`FlatCst`].
+/// The borrowed trie view of a [`FlatCst`]: the node count and the
+/// verified transition and parent sections, resolved once when the view
+/// is built, so a walk reads no checksum latch per step.
 #[derive(Clone, Copy)]
 pub struct FlatTrie<'a> {
-    cst: &'a FlatCst,
+    node_count: usize,
+    child_start: &'a [u8],
+    child_edge: &'a [u8],
+    child_target: &'a [u8],
+    node_parent: &'a [u8],
 }
 
 impl TrieAccess for FlatTrie<'_> {
+    /// The child of `node` along `edge`: `search_row` over the node's
+    /// CSR row. A row whose bounds are reversed or fall outside the
+    /// section, and a target at or past the node count, read as absent.
     #[inline]
     fn child(&self, node: TrieNodeId, edge: EdgeKey) -> Option<TrieNodeId> {
-        self.cst.child_of(node, edge)
+        if node.index() >= self.node_count {
+            return None;
+        }
+        let lo = read_u32(self.child_start, node.index().checked_mul(4)?)? as usize;
+        let hi = read_u32(self.child_start, node.index().checked_add(1)?.checked_mul(4)?)? as usize;
+        if lo > hi {
+            return None;
+        }
+        let row = self.child_edge.get(lo.checked_mul(4)?..hi.checked_mul(4)?)?;
+        let at = lo.checked_add(search_row(row, edge.raw())?)?;
+        let target = read_u32(self.child_target, at.checked_mul(4)?)?;
+        ((target as usize) < self.node_count).then_some(TrieNodeId(target))
     }
 
+    /// The parent of `node`, or `None` for the root. Corrupt parent
+    /// pointers (id not strictly below the child's) read as `None`, so
+    /// root-ward walks always terminate.
     #[inline]
     fn parent(&self, node: TrieNodeId) -> Option<TrieNodeId> {
-        self.cst.parent_of(node)
+        let raw = read_u32(self.node_parent, node.index().checked_mul(4)?)?;
+        (raw != u32::MAX && (raw as usize) < node.index()).then_some(TrieNodeId(raw))
     }
+}
+
+/// Position of `wanted` in one CSR row of little-endian edge keys sorted
+/// ascending, as `twig_pst`'s `PrunedTrie` searches its rows: a row of
+/// more than 16 keys is first narrowed by halving, whose select compiles
+/// to a conditional move, and the surviving window's smaller keys are
+/// then counted without a branch.
+#[inline]
+fn search_row(row: &[u8], wanted: u32) -> Option<usize> {
+    let mut lo = 0usize;
+    let mut len = row.len() / 4;
+    while len > 16 {
+        let half = len / 2;
+        let probe = lo.checked_add(half)?;
+        lo = if read_u32(row, probe.checked_mul(4)?)? <= wanted { probe } else { lo };
+        len -= half;
+    }
+    let window = row.get(lo.checked_mul(4)?..lo.checked_add(len)?.checked_mul(4)?)?;
+    let below: usize = window
+        .chunks_exact(4)
+        .map(|key| usize::from(key.try_into().map_or(u32::MAX, u32::from_le_bytes) < wanted))
+        .sum();
+    let at = lo.checked_add(below)?;
+    (read_u32(row, at.checked_mul(4)?)? == wanted).then_some(at)
 }
 
 impl Summary for FlatCst {
     type Trie<'a> = FlatTrie<'a>;
 
+    /// The trie view, its four sections verified and resolved once.
     #[inline]
     fn trie(&self) -> FlatTrie<'_> {
-        FlatTrie { cst: self }
+        FlatTrie {
+            node_count: self.node_count(),
+            child_start: self.section(SectionKind::ChildStart),
+            child_edge: self.section(SectionKind::ChildEdge),
+            child_target: self.section(SectionKind::ChildTarget),
+            node_parent: self.section(SectionKind::NodeParent),
+        }
     }
 
     #[inline]

@@ -18,7 +18,7 @@ use twig_core::{Algorithm, CountKind, Cst, CstConfig, SpaceBudget};
 use twig_flat::format::{HEADER_LEN, PAYLOAD_OFFSET, SECTION_COUNT, TABLE_ENTRY_LEN, TABLE_OFFSET};
 use twig_flat::{writer, FlatCst, FlatError};
 use twig_tree::{DataTree, Twig};
-use twig_util::SplitMix64;
+use twig_util::{fnv1a64, SplitMix64};
 
 fn sample_flat_bytes() -> Vec<u8> {
     let tree = DataTree::from_xml(concat!(
@@ -267,6 +267,49 @@ fn corrupt_parent_pointers_cannot_loop() {
     let flat = FlatCst::from_bytes(mutated).expect("structurally fine");
     assert_estimates_sane(&flat, "self-parent node");
     assert!(flat.verify().is_err(), "parent corruption escaped checksums");
+}
+
+/// Structural damage behind a valid checksum. FNV-1a is not a MAC: a
+/// rewritten section whose table checksum is recomputed passes
+/// `verify()`, and only the reader's structural guards stand between it
+/// and a panic: reversed or out-of-section child rows, targets at or past
+/// the node count, forward parents and signature slots past the pool.
+/// For each section, random words become random values, 0, `u32::MAX`
+/// or small ids; estimates must stay finite and non-negative.
+#[test]
+fn resealed_section_damage_keeps_estimates_sane() {
+    let bytes = sample_flat_bytes();
+    let flat = FlatCst::from_bytes(bytes.clone()).expect("sample opens");
+    let node_count = flat.node_count() as u64;
+    let sections = flat.sections();
+    drop(flat);
+    let mut rng = SplitMix64::new(0x5EA1_ED5E);
+    for info in sections.iter().filter(|info| info.len > 0) {
+        let entry = (0..SECTION_COUNT)
+            .map(|index| TABLE_OFFSET + index * TABLE_ENTRY_LEN)
+            .find(|&entry| bytes[entry + 8..entry + 16] == (info.offset as u64).to_le_bytes())
+            .expect("section has a table entry");
+        for trial in 0..120 {
+            let mut mutated = bytes.clone();
+            let section = &mut mutated[info.offset..info.offset + info.len];
+            for _ in 0..=rng.index(3) {
+                let value = match rng.next_below(4) {
+                    0 => rng.next_u64() as u32,
+                    1 => 0,
+                    2 => u32::MAX,
+                    _ => rng.next_below(node_count + 2) as u32,
+                };
+                let at = rng.index(section.len()) & !3;
+                let end = (at + 4).min(section.len());
+                section[at..end].copy_from_slice(&value.to_le_bytes()[..end - at]);
+            }
+            let checksum = fnv1a64(section);
+            mutated[entry + 24..entry + 32].copy_from_slice(&checksum.to_le_bytes());
+            let flat = FlatCst::from_bytes(mutated).expect("an untouched table opens");
+            flat.verify().expect("a resealed section verifies");
+            assert_estimates_sane(&flat, &format!("{} trial {trial}", info.name));
+        }
+    }
 }
 
 /// Orphaned `.tmp` files from a torn pack never shadow the target: the

@@ -42,9 +42,9 @@ pub fn pairwise_agreement<C: Component>(a: &[C], b: &[C]) -> usize {
 /// position trivially agrees and the count is `first.len()`.
 ///
 /// The k-way fold keeps a flat agreement mask and combines with bitwise
-/// `&`, so each pass over a slice is as vectorizable as the two-way
-/// kernel (which the common `others.len() == 1` case dispatches to
-/// directly, allocation-free).
+/// `&` ([`agreement_mask_into`]), so each pass over a slice is as
+/// vectorizable as the two-way kernel (which the common
+/// `others.len() == 1` case dispatches to directly, allocation-free).
 #[must_use]
 pub fn agreement_count<C: Component>(first: &[C], others: &[&[C]]) -> usize {
     if let [only] = others {
@@ -52,10 +52,24 @@ pub fn agreement_count<C: Component>(first: &[C], others: &[&[C]]) -> usize {
     }
     let mut mask = vec![true; first.len()];
     for other in others {
-        for (m, (x, y)) in mask.iter_mut().zip(first.iter().zip(other.iter())) {
-            *m &= x == y;
-        }
+        agreement_mask_into(&mut mask, first, other);
     }
+    mask_count(&mask)
+}
+
+/// One pass of the k-way agreement fold: clears `mask[i]` wherever
+/// `other[i]` differs from `first[i]`.
+#[inline]
+pub fn agreement_mask_into<C: Component>(mask: &mut [bool], first: &[C], other: &[C]) {
+    for (m, (x, y)) in mask.iter_mut().zip(first.iter().zip(other)) {
+        *m &= x == y;
+    }
+}
+
+/// Number of positions an agreement mask still holds.
+#[inline]
+#[must_use]
+pub fn mask_count(mask: &[bool]) -> usize {
     mask.iter().map(|&m| usize::from(m)).sum()
 }
 

@@ -226,10 +226,9 @@ impl<C: Component> Signature<C> {
 /// owned [`CompactSignature`] storage) or raw little-endian bytes (the
 /// flat on-disk encoding, length a multiple of 4).
 ///
-/// Views exist so the estimation pipeline can run the *same* float code
-/// over owned and memory-mapped summaries: agreement counts are exact
-/// integers, so `Words` and `Bytes` over the same components produce
-/// bit-identical estimates.
+/// [`SigRows`] decodes both forms into the same words, so the estimation
+/// pipeline runs the *same* float code over owned and memory-mapped
+/// summaries and their estimates are bit-identical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SigView<'a> {
     /// Typed `u32` components.
@@ -238,261 +237,214 @@ pub enum SigView<'a> {
     Bytes(&'a [u8]),
 }
 
-impl<'a> SigView<'a> {
-    /// Signature length in components.
-    #[inline]
-    #[must_use]
-    pub fn len(&self) -> usize {
-        match *self {
-            SigView::Words(words) => words.len(),
-            SigView::Bytes(bytes) => bytes.len() / 4,
-        }
+/// One star's signatures decoded into reusable rows, and the set-hash
+/// estimators over them.
+///
+/// [`SigRows::clear`] fixes the row length `L`; each
+/// [`SigRows::add_signature`] decodes one [`SigView`] into a row of
+/// exactly `L` words beside the exact size of its set. The estimators
+/// run on the branch-free [`kernels`] and perform the float operations
+/// of [`Signature::resemblance`], [`estimate_union_size`] and
+/// [`estimate_intersection`] in the same order, so over equal components
+/// they agree with those references bit for bit. Unlike the references
+/// they are panic-free, read no rows as 0.0, and allocate nothing once
+/// the buffers have grown to a star's size.
+#[derive(Debug, Clone, Default)]
+pub struct SigRows {
+    /// Words per row (`L`).
+    len: usize,
+    /// The rows, `len` words each, in insertion order.
+    words: Vec<u32>,
+    /// The exact size of each row's set.
+    sizes: Vec<u64>,
+    /// Union scratch.
+    union: Vec<u32>,
+    /// Agreement-mask scratch for three or more rows.
+    mask: Vec<bool>,
+    /// The k-way agreement count of the current rows, once counted.
+    agreement: Option<usize>,
+}
+
+impl SigRows {
+    /// Empties the buffer for rows of `len` words.
+    pub fn clear(&mut self, len: usize) {
+        self.len = len;
+        self.words.clear();
+        self.sizes.clear();
+        self.agreement = None;
     }
 
-    /// True when the view has no components.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Component `i`, or `u32::MAX` (the empty-set sentinel) out of
-    /// range — a view over validated sections never goes out of range,
-    /// and the sentinel keeps the accessor panic-free regardless.
-    #[inline]
-    #[must_use]
-    pub fn component(&self, i: usize) -> u32 {
-        match *self {
-            SigView::Words(words) => words.get(i).copied().unwrap_or(u32::MAX),
-            SigView::Bytes(bytes) => bytes
-                .get(i * 4..i * 4 + 4)
-                .and_then(|chunk| chunk.try_into().ok())
-                .map_or(u32::MAX, u32::from_le_bytes),
-        }
-    }
-
-    /// True when no element was ever inserted (every component is the
-    /// `EMPTY` sentinel — the view-level [`Signature::is_empty_set`]).
-    #[must_use]
-    pub fn is_empty_set(&self) -> bool {
-        self.components().all(|c| c == u32::MAX)
-    }
-
-    /// The typed word slice, when this view has one — the fast path the
-    /// agreement loops take so owned summaries keep the branch-free
-    /// [`kernels`] codegen.
-    #[inline]
-    #[must_use]
-    pub fn as_words(self) -> Option<&'a [u32]> {
-        match self {
-            SigView::Words(words) => Some(words),
-            SigView::Bytes(_) => None,
-        }
-    }
-
-    /// Componentwise iterator — the hot-loop accessor. Unlike repeated
-    /// [`SigView::component`] calls it dispatches on the representation
-    /// once and walks the backing slice without per-index bounds checks.
-    #[inline]
-    #[must_use]
-    pub fn components(self) -> SigComponents<'a> {
-        match self {
-            SigView::Words(words) => SigComponents::Words(words.iter()),
+    /// Appends `sig` as a row, with the exact size of its set. Bytes are
+    /// decoded as little-endian words. Components past the view's end
+    /// read as the empty sentinel `u32::MAX`, and those past `L` are
+    /// dropped.
+    pub fn add_signature(&mut self, sig: SigView<'_>, size: u64) {
+        let start = self.words.len();
+        self.words.resize(start.saturating_add(self.len), u32::MAX);
+        let row = self.words.get_mut(start..).unwrap_or_default();
+        match sig {
+            SigView::Words(words) => {
+                for (slot, &word) in row.iter_mut().zip(words) {
+                    *slot = word;
+                }
+            }
             SigView::Bytes(bytes) => {
-                // `chunks_exact` drops a trailing partial word, matching
-                // the `len = bytes/4` truncation above.
-                SigComponents::Bytes(bytes.chunks_exact(4))
+                for (slot, chunk) in row.iter_mut().zip(bytes.chunks_exact(4)) {
+                    *slot = chunk.try_into().map_or(u32::MAX, u32::from_le_bytes);
+                }
             }
         }
+        self.sizes.push(size);
+        self.agreement = None;
     }
-}
 
-/// Iterator over a [`SigView`]'s `u32` components (see
-/// [`SigView::components`]).
-#[derive(Debug, Clone)]
-pub enum SigComponents<'a> {
-    /// Walks typed words.
-    Words(core::slice::Iter<'a, u32>),
-    /// Walks 4-byte little-endian chunks.
-    Bytes(core::slice::ChunksExact<'a, u8>),
-}
+    /// The smallest set size, or 0 without rows.
+    #[must_use]
+    pub fn min_size(&self) -> u64 {
+        self.sizes.iter().copied().min().unwrap_or(0)
+    }
 
-impl Iterator for SigComponents<'_> {
-    type Item = u32;
+    /// Estimated k-way resemblance `|∩|/|∪|` of every row: the fraction
+    /// of components on which all rows agree ([`Signature::resemblance`]).
+    /// 0.0 without rows or when any set is empty.
+    pub fn resemblance(&mut self) -> f64 {
+        if self.sizes.is_empty()
+            || Rows::new(&self.words, self.len, &self.sizes).any(|(sig, _)| is_empty_set(sig))
+        {
+            return 0.0;
+        }
+        size_to_f64(self.agreement_count()) / size_to_f64(self.len)
+    }
 
-    #[inline]
-    fn next(&mut self) -> Option<u32> {
-        match self {
-            SigComponents::Words(words) => words.next().copied(),
-            SigComponents::Bytes(chunks) => {
-                chunks.next().map(|chunk| chunk.try_into().map_or(u32::MAX, u32::from_le_bytes))
+    /// Estimated `|S₁ ∪ … ∪ S_k|` ([`estimate_union_size`]): the size of
+    /// the largest non-empty set over its resemblance with the union of
+    /// the non-empty rows, or the sum of their sizes when that
+    /// resemblance is 0. 0.0 when every set is empty.
+    pub fn estimate_union_size(&mut self) -> f64 {
+        let Some((largest_size, f, sum)) = self.largest_against_union() else {
+            return 0.0;
+        };
+        if f == 0.0 {
+            return sum;
+        }
+        count_to_f64(largest_size) / f
+    }
+
+    /// Estimated `|S₁ ∩ … ∩ S_k|` ([`estimate_intersection`]), clamped to
+    /// the smallest set. 0.0 without rows or when any set is empty; the
+    /// k-way agreement a preceding [`SigRows::resemblance`] counted is
+    /// reused.
+    pub fn estimate_intersection(&mut self) -> f64 {
+        if self.sizes.is_empty()
+            || Rows::new(&self.words, self.len, &self.sizes)
+                .any(|(sig, size)| size == 0 || is_empty_set(sig))
+        {
+            return 0.0;
+        }
+        let min_size = count_to_f64(self.min_size());
+        if let [only] = self.sizes.as_slice() {
+            return count_to_f64(*only);
+        }
+        let rho = size_to_f64(self.agreement_count()) / size_to_f64(self.len);
+        if rho == 0.0 {
+            return 0.0;
+        }
+        // Every set is non-empty here, so the union covers all rows. The
+        // largest set gives the most accurate |∪| recovery.
+        let Some((largest_size, f, _)) = self.largest_against_union() else {
+            return 0.0;
+        };
+        if f == 0.0 {
+            return (rho * count_to_f64(largest_size)).min(min_size);
+        }
+        let union_size = count_to_f64(largest_size) / f;
+        (rho * union_size).min(min_size)
+    }
+
+    /// Over the rows of non-empty sets: the size of the largest, its
+    /// row's resemblance with the union of those rows, and the sum of
+    /// their sizes. `None` when every set is empty.
+    fn largest_against_union(&mut self) -> Option<(u64, f64, f64)> {
+        let SigRows { len, words, sizes, union, .. } = self;
+        union.clear();
+        union.resize(*len, u32::MAX);
+        // `max_by_key` keeps the last maximum, so `>=` preserves the
+        // references' tie-break; the sum runs in row order.
+        let mut largest: Option<(&[u32], u64)> = None;
+        let mut sum = 0.0;
+        for (sig, size) in Rows::new(words, *len, sizes) {
+            if size > 0 && !is_empty_set(sig) {
+                sum += count_to_f64(size);
+                if largest.is_none_or(|(_, best)| size >= best) {
+                    largest = Some((sig, size));
+                }
+                kernels::union_min_into(union, sig);
             }
         }
+        let (largest_sig, largest_size) = largest?;
+        Some((largest_size, pair_resemblance(largest_sig, union, *len), sum))
     }
 
-    #[inline]
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            SigComponents::Words(words) => words.size_hint(),
-            SigComponents::Bytes(chunks) => chunks.size_hint(),
+    /// Positions where every row agrees with the first: the pairwise
+    /// kernel for two rows, a reused mask for more. Counted once per set
+    /// of rows.
+    fn agreement_count(&mut self) -> usize {
+        if let Some(count) = self.agreement {
+            return count;
         }
-    }
-}
-
-/// View-level k-way resemblance: the fraction of components on which
-/// every view agrees — bit-identical to [`Signature::resemblance`] over
-/// the same components (the agreement count is an exact integer).
-/// Returns 0.0 for no views or when any set is empty; allocation- and
-/// panic-free (views of mismatched length read as non-agreeing).
-#[must_use]
-pub fn view_resemblance(signatures: &[SigView<'_>]) -> f64 {
-    let Some(first) = signatures.first() else {
-        return 0.0;
-    };
-    if signatures.iter().any(|s| s.is_empty_set()) {
-        return 0.0;
-    }
-    let rest = signatures.get(1..).unwrap_or_default();
-    let matching = view_agreement_count(*first, rest);
-    size_to_f64(matching) / size_to_f64(first.len())
-}
-
-/// Positions where every view in `rest` agrees with `first`. All-word
-/// inputs (owned signatures, and the union vectors built here) take the
-/// branch-free [`kernels::agreement_count`] path; any byte-backed view
-/// falls back to lockstep componentwise iteration, which produces the
-/// same exact integer count over equal components.
-fn view_agreement_count(first: SigView<'_>, rest: &[SigView<'_>]) -> usize {
-    if let Some(first_words) = first.as_words() {
-        let rest_words: Option<Vec<&[u32]>> = rest.iter().map(|s| s.as_words()).collect();
-        if let Some(rest_words) = rest_words {
-            return kernels::agreement_count(first_words, &rest_words);
-        }
-    }
-    let mut rest_iters: Vec<SigComponents<'_>> = rest.iter().map(|s| s.components()).collect();
-    let mut matching = 0usize;
-    for head in first.components() {
-        let mut agree = true;
-        for iter in &mut rest_iters {
-            agree &= iter.next() == Some(head);
-        }
-        matching += usize::from(agree);
-    }
-    matching
-}
-
-/// View-level union signature: the componentwise minimum, as owned
-/// words — the view counterpart of [`Signature::union`]. Empty input
-/// yields an empty vector.
-#[must_use]
-pub fn view_union(signatures: &[SigView<'_>]) -> Vec<u32> {
-    let len = signatures.first().map_or(0, SigView::len);
-    let mut out = vec![u32::MAX; len];
-    for sig in signatures {
-        for (slot, c) in out.iter_mut().zip(sig.components()) {
-            *slot = if c < *slot { c } else { *slot };
-        }
-    }
-    out
-}
-
-/// View-level [`estimate_union_size`]: identical float-operation
-/// sequence (filter, last-max largest set, union resemblance, the same
-/// fallback sum), so results are bit-identical over equal components.
-/// Returns 0.0 for empty input instead of panicking.
-#[must_use]
-pub fn view_estimate_union_size(sets: &[(SigView<'_>, u64)]) -> f64 {
-    // Mirror the owned filter: drop empty sets, remember the *last*
-    // maximal set (`max_by_key` keeps the last maximum) and the
-    // fallback sum, all in filter order.
-    let mut largest: Option<(SigView<'_>, u64)> = None;
-    let mut sum = 0.0;
-    for &(sig, size) in sets {
-        if size > 0 && !sig.is_empty_set() {
-            sum += count_to_f64(size);
-            if largest.is_none_or(|(_, best)| size >= best) {
-                largest = Some((sig, size));
+        let SigRows { len, words, sizes, mask, .. } = self;
+        let (first, rest) = words.split_at_checked(*len).unwrap_or_default();
+        let count = if let [_, _] = sizes.as_slice() {
+            kernels::pairwise_agreement(first, rest)
+        } else {
+            mask.clear();
+            mask.resize(first.len(), true);
+            for sig in rest.chunks((*len).max(1)) {
+                kernels::agreement_mask_into(mask, first, sig);
             }
-        }
+            kernels::mask_count(mask)
+        };
+        self.agreement = Some(count);
+        count
     }
-    let Some((largest_sig, largest_size)) = largest else {
-        return 0.0;
-    };
-    let union = view_union_of_nonempty(sets, largest_sig.len());
-    let f = view_resemblance(&[largest_sig, SigView::Words(&union)]);
-    if f == 0.0 {
-        return sum;
-    }
-    count_to_f64(largest_size) / f
 }
 
-/// View-level [`estimate_intersection`]: identical float-operation
-/// sequence (empty-set short-circuit, min-size clamp, last-max largest
-/// set, the same degenerate fallback), so results are bit-identical
-/// over equal components. Returns 0.0 for empty input instead of
-/// panicking.
-#[must_use]
-pub fn view_estimate_intersection(sets: &[(SigView<'_>, u64)]) -> f64 {
-    if sets.is_empty() || sets.iter().any(|&(sig, size)| size == 0 || sig.is_empty_set()) {
-        return 0.0;
-    }
-    let min_size = count_to_f64(sets.iter().map(|&(_, size)| size).min().unwrap_or(0));
-    if sets.len() == 1 {
-        return count_to_f64(sets.first().map_or(0, |&(_, size)| size));
-    }
-    let first = sets.first().map_or(SigView::Words(&[]), |&(sig, _)| sig);
-    // `first` agreeing with itself is a no-op, so comparing against the
-    // full set list matches the per-position all-agree semantics.
-    let views: Vec<SigView<'_>> = sets.iter().map(|&(sig, _)| sig).collect();
-    let rho_matching = view_agreement_count(first, &views);
-    let rho = size_to_f64(rho_matching) / size_to_f64(first.len());
-    if rho == 0.0 {
-        return 0.0;
-    }
-    // Largest set gives the most accurate |union| recovery; `max_by_key`
-    // keeps the last maximum, so `>=` preserves its tie-breaking.
-    let mut largest: Option<(SigView<'_>, u64)> = None;
-    for &(sig, size) in sets {
-        if largest.is_none_or(|(_, best)| size >= best) {
-            largest = Some((sig, size));
-        }
-    }
-    let Some((largest_sig, largest_size)) = largest else {
-        return 0.0;
-    };
-    let union = view_union_of_all(sets, largest_sig.len());
-    let f = view_resemblance(&[largest_sig, SigView::Words(&union)]);
-    if f == 0.0 {
-        return (rho * count_to_f64(largest_size)).min(min_size);
-    }
-    let union_size = count_to_f64(largest_size) / f;
-    (rho * union_size).min(min_size)
+/// The rows of a [`SigRows`] with their set sizes, in insertion order.
+struct Rows<'a> {
+    words: &'a [u32],
+    len: usize,
+    sizes: std::slice::Iter<'a, u64>,
 }
 
-/// Componentwise minimum over the non-empty sets only (the owned
-/// estimator unions the filtered subset).
-fn view_union_of_nonempty(sets: &[(SigView<'_>, u64)], len: usize) -> Vec<u32> {
-    let mut out = vec![u32::MAX; len];
-    for &(sig, size) in sets {
-        if size > 0 && !sig.is_empty_set() {
-            for (slot, c) in out.iter_mut().zip(sig.components()) {
-                *slot = if c < *slot { c } else { *slot };
-            }
-        }
+impl<'a> Rows<'a> {
+    fn new(words: &'a [u32], len: usize, sizes: &'a [u64]) -> Self {
+        Rows { words, len, sizes: sizes.iter() }
     }
-    out
 }
 
-/// Componentwise minimum over every set (the owned intersection
-/// estimator unions all signatures — its empty-set short-circuit
-/// already ran).
-fn view_union_of_all(sets: &[(SigView<'_>, u64)], len: usize) -> Vec<u32> {
-    let mut out = vec![u32::MAX; len];
-    for &(sig, _) in sets {
-        for (slot, c) in out.iter_mut().zip(sig.components()) {
-            *slot = if c < *slot { c } else { *slot };
-        }
+impl<'a> Iterator for Rows<'a> {
+    type Item = (&'a [u32], u64);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let &size = self.sizes.next()?;
+        let (sig, rest) = self.words.split_at_checked(self.len).unwrap_or_default();
+        self.words = rest;
+        Some((sig, size))
     }
-    out
+}
+
+/// True when no element was ever inserted: every component is the
+/// `EMPTY` sentinel ([`Signature::is_empty_set`]).
+fn is_empty_set(sig: &[u32]) -> bool {
+    sig.iter().all(|&c| c == u32::MAX)
+}
+
+/// Two-way resemblance of `len`-word rows, 0.0 when either set is empty.
+fn pair_resemblance(a: &[u32], b: &[u32], len: usize) -> f64 {
+    if is_empty_set(a) || is_empty_set(b) {
+        return 0.0;
+    }
+    size_to_f64(kernels::pairwise_agreement(a, b)) / size_to_f64(len)
 }
 
 /// Estimates `|S₁ ∪ … ∪ S_k|` from signatures plus exact sizes: the
@@ -746,25 +698,35 @@ mod tests {
         let _ = HashFamily::new(0, 1);
     }
 
-    fn le_bytes_of(sig: &CompactSignature) -> Vec<u8> {
-        sig.components().iter().flat_map(|c| c.to_le_bytes()).collect()
+    /// A seeded compact signature of `len` components from `0..spread`,
+    /// or the empty set one time in eight.
+    fn random_signature(rng: &mut SplitMix64, len: usize, spread: u64) -> CompactSignature {
+        if rng.next_below(8) == 0 {
+            return Signature::empty(len);
+        }
+        Signature::from_components((0..len).map(|_| rng.next_below(spread) as u32).collect())
     }
 
-    #[test]
-    fn view_component_access_words_and_bytes_agree() {
-        let fam = family(64);
-        let sig = Signature::build(&fam, 0..100).truncate();
-        let bytes = le_bytes_of(&sig);
-        let words = SigView::Words(sig.components());
-        let raw = SigView::Bytes(&bytes);
-        assert_eq!(words.len(), 64);
-        assert_eq!(raw.len(), 64);
-        for i in 0..64 {
-            assert_eq!(words.component(i), raw.component(i), "component {i}");
+    /// A set size: 0 one time in ten, otherwise one of three values, so
+    /// the largest set is often tied.
+    fn random_size(rng: &mut SplitMix64) -> u64 {
+        match rng.next_below(10) {
+            0 => 0,
+            1..=4 => 7,
+            5..=7 => 40,
+            _ => 1000,
         }
-        // Out-of-range reads are the empty sentinel, never a panic.
-        assert_eq!(words.component(64), u32::MAX);
-        assert_eq!(raw.component(64), u32::MAX);
+    }
+
+    fn load(rows: &mut SigRows, len: usize, views: &[(SigView<'_>, u64)]) {
+        rows.clear(len);
+        for &(sig, size) in views {
+            rows.add_signature(sig, size);
+        }
+    }
+
+    fn le_bytes_of(sig: &CompactSignature) -> Vec<u8> {
+        sig.components().iter().flat_map(|c| c.to_le_bytes()).collect()
     }
 
     #[test]
@@ -775,16 +737,23 @@ mod tests {
             .map(|r| Signature::build(&fam, r).truncate())
             .collect();
         let owned: Vec<&CompactSignature> = sigs.iter().collect();
-        let words: Vec<SigView> = sigs.iter().map(|s| SigView::Words(s.components())).collect();
+        let words: Vec<(SigView, u64)> =
+            sigs.iter().map(|s| (SigView::Words(s.components()), 100)).collect();
         let byte_store: Vec<Vec<u8>> = sigs.iter().map(le_bytes_of).collect();
-        let bytes: Vec<SigView> = byte_store.iter().map(|b| SigView::Bytes(b)).collect();
+        let bytes: Vec<(SigView, u64)> =
+            byte_store.iter().map(|b| (SigView::Bytes(b), 100)).collect();
+        let mut rows = SigRows::default();
         for k in 1..=3 {
             let expect = Signature::resemblance(&owned[..k]);
-            assert_eq!(view_resemblance(&words[..k]), expect, "words k={k}");
-            assert_eq!(view_resemblance(&bytes[..k]), expect, "bytes k={k}");
+            load(&mut rows, 256, &words[..k]);
+            assert_eq!(rows.resemblance(), expect, "words k={k}");
+            load(&mut rows, 256, &bytes[..k]);
+            assert_eq!(rows.resemblance(), expect, "bytes k={k}");
         }
-        assert_eq!(view_resemblance(&[]), 0.0);
-        assert_eq!(view_resemblance(&[SigView::Words(&[u32::MAX; 4])]), 0.0, "empty set");
+        load(&mut rows, 4, &[]);
+        assert_eq!(rows.resemblance(), 0.0);
+        load(&mut rows, 4, &[(SigView::Words(&[u32::MAX; 4]), 0)]);
+        assert_eq!(rows.resemblance(), 0.0, "empty set");
     }
 
     #[test]
@@ -793,8 +762,18 @@ mod tests {
         let a = Signature::build(&fam, 0..50).truncate();
         let b = Signature::build(&fam, 30..90).truncate();
         let expect = Signature::union(&[&a, &b]);
-        let got = view_union(&[SigView::Words(a.components()), SigView::Words(b.components())]);
-        assert_eq!(got, expect.components());
+        let (a_bytes, b_bytes) = (le_bytes_of(&a), le_bytes_of(&b));
+        let mut rows = SigRows::default();
+        for views in [
+            [(SigView::Words(a.components()), 50), (SigView::Words(b.components()), 60)],
+            [(SigView::Bytes(&a_bytes), 50), (SigView::Bytes(&b_bytes), 60)],
+        ] {
+            load(&mut rows, 64, &views);
+            // The union-size estimate leaves the union of the non-empty
+            // rows in the union scratch.
+            let _ = rows.estimate_union_size();
+            assert_eq!(rows.union, expect.components());
+        }
     }
 
     #[test]
@@ -802,17 +781,15 @@ mod tests {
         // Sweep seeds and shapes; ties in set sizes exercise the
         // last-max tie-breaking the owned estimators inherit from
         // `max_by_key`.
+        let mut rows = SigRows::default();
         for seed in 0..8u64 {
             let fam = HashFamily::new(96, seed);
             let base = seed * 37;
-            let sigs: Vec<CompactSignature> = [
-                (base..base + 400, 400u64),
-                (base + 100..base + 500, 400),
-                (base + 250..base + 900, 650),
-            ]
-            .iter()
-            .map(|(r, _)| Signature::build(&fam, r.clone()).truncate())
-            .collect();
+            let sigs: Vec<CompactSignature> =
+                [base..base + 400, base + 100..base + 500, base + 250..base + 900]
+                    .into_iter()
+                    .map(|r| Signature::build(&fam, r).truncate())
+                    .collect();
             let sizes = [400u64, 400, 650];
             let owned: Vec<(&CompactSignature, u64)> = sigs.iter().zip(sizes).collect();
             let byte_store: Vec<Vec<u8>> = sigs.iter().map(le_bytes_of).collect();
@@ -822,25 +799,103 @@ mod tests {
                 byte_store.iter().zip(sizes).map(|(b, n)| (SigView::Bytes(b), n)).collect();
             for k in 1..=3 {
                 let expect_int = estimate_intersection(&owned[..k]);
-                assert_eq!(view_estimate_intersection(&words[..k]), expect_int, "int w k={k}");
-                assert_eq!(view_estimate_intersection(&bytes[..k]), expect_int, "int b k={k}");
                 let expect_union = estimate_union_size(&owned[..k]);
-                assert_eq!(view_estimate_union_size(&words[..k]), expect_union, "uni w k={k}");
-                assert_eq!(view_estimate_union_size(&bytes[..k]), expect_union, "uni b k={k}");
+                for (form, views) in [("w", &words), ("b", &bytes)] {
+                    load(&mut rows, 96, &views[..k]);
+                    assert_eq!(rows.estimate_intersection(), expect_int, "int {form} k={k}");
+                    assert_eq!(rows.estimate_union_size(), expect_union, "uni {form} k={k}");
+                }
             }
         }
         // Degenerate shapes the owned path special-cases.
         let empty = Signature::<u32>::empty(16);
         let fam = family(16);
         let one = Signature::build(&fam, 0..5).truncate();
-        assert_eq!(
-            view_estimate_intersection(&[
-                (SigView::Words(one.components()), 5),
-                (SigView::Words(empty.components()), 0),
-            ]),
-            estimate_intersection(&[(&one, 5), (&empty, 0)]),
+        load(
+            &mut rows,
+            16,
+            &[(SigView::Words(one.components()), 5), (SigView::Words(empty.components()), 0)],
         );
-        assert_eq!(view_estimate_intersection(&[]), 0.0);
-        assert_eq!(view_estimate_union_size(&[]), 0.0);
+        assert_eq!(rows.estimate_intersection(), estimate_intersection(&[(&one, 5), (&empty, 0)]));
+        load(&mut rows, 16, &[]);
+        assert_eq!(rows.estimate_intersection(), 0.0);
+        assert_eq!(rows.estimate_union_size(), 0.0);
+    }
+
+    #[test]
+    fn sig_rows_bit_identical_to_owned() {
+        let mut rng = SplitMix64::new(0x51_6A0B5);
+        let mut rows = SigRows::default();
+        for len in [1usize, 2, 31, 32, 33] {
+            for k in 1..=5usize {
+                for round in 0..60 {
+                    // A spread of 2 or 3 makes rows agree on many
+                    // components; the full spread makes them differ.
+                    let spread = [2u64, 3, 1 << 32][round % 3];
+                    let sigs: Vec<CompactSignature> =
+                        (0..k).map(|_| random_signature(&mut rng, len, spread)).collect();
+                    let sizes: Vec<u64> = (0..k).map(|_| random_size(&mut rng)).collect();
+                    let owned: Vec<(&CompactSignature, u64)> =
+                        sigs.iter().zip(sizes.iter().copied()).collect();
+                    let refs: Vec<&CompactSignature> = sigs.iter().collect();
+                    let resemblance = Signature::resemblance(&refs).to_bits();
+                    let union_size = estimate_union_size(&owned).to_bits();
+                    let intersection = estimate_intersection(&owned).to_bits();
+                    let context = format!("len {len} k {k} round {round}");
+
+                    let words: Vec<(SigView, u64)> = sigs
+                        .iter()
+                        .zip(sizes.iter().copied())
+                        .map(|(sig, size)| (SigView::Words(sig.components()), size))
+                        .collect();
+                    load(&mut rows, len, &words);
+                    assert_eq!(rows.min_size(), sizes.iter().copied().min().unwrap(), "{context}");
+                    assert_eq!(rows.resemblance().to_bits(), resemblance, "words {context}");
+                    assert_eq!(rows.estimate_union_size().to_bits(), union_size, "words {context}");
+                    // Reuses the agreement `resemblance` counted.
+                    assert_eq!(
+                        rows.estimate_intersection().to_bits(),
+                        intersection,
+                        "words {context}"
+                    );
+
+                    let bytes: Vec<Vec<u8>> = sigs
+                        .iter()
+                        .map(|sig| sig.components().iter().flat_map(|c| c.to_le_bytes()).collect())
+                        .collect();
+                    let views: Vec<(SigView, u64)> = bytes
+                        .iter()
+                        .zip(sizes.iter().copied())
+                        .map(|(raw, size)| (SigView::Bytes(raw), size))
+                        .collect();
+                    load(&mut rows, len, &views);
+                    // Counts the agreement itself this time.
+                    assert_eq!(
+                        rows.estimate_intersection().to_bits(),
+                        intersection,
+                        "bytes {context}"
+                    );
+                    assert_eq!(rows.resemblance().to_bits(), resemblance, "bytes {context}");
+                    assert_eq!(rows.estimate_union_size().to_bits(), union_size, "bytes {context}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sig_rows_degenerate_inputs() {
+        let mut rows = SigRows::default();
+        rows.clear(4);
+        assert_eq!(rows.resemblance(), 0.0);
+        assert_eq!(rows.estimate_union_size(), 0.0);
+        assert_eq!(rows.estimate_intersection(), 0.0);
+        assert_eq!(rows.min_size(), 0);
+        // A short view reads as empty-set components past its end, and a
+        // long one is cut to the row length.
+        rows.add_signature(SigView::Words(&[1, 2]), 3);
+        rows.add_signature(SigView::Words(&[1, 2, u32::MAX, u32::MAX, 9]), 3);
+        rows.add_signature(SigView::Bytes(&[1, 0, 0, 0, 2, 0, 0, 0, 7]), 3);
+        assert_eq!(rows.resemblance(), 1.0);
+        assert_eq!(rows.estimate_intersection(), 3.0);
     }
 }
