@@ -5,7 +5,7 @@ use twig_pst::{
     build_suffix_trie, builder::for_each_rooted_subpath_sharded, NodeCostInfo, PathToken,
     PrunedTrie, TrieConfig, TrieNodeId,
 };
-use twig_sethash::{CompactSignature, HashFamily, Signature};
+use twig_sethash::{kernels, CompactSignature, HashFamily, Signature};
 use twig_tree::DataTree;
 use twig_util::{Interner, Symbol};
 
@@ -91,6 +91,129 @@ impl Default for CstConfig {
 /// counts (8 B), child-table entry (8 B).
 const NODE_BASE_COST: usize = 20;
 
+/// Accounted cost of one signature: `4·L` bytes, or nothing without
+/// signatures.
+fn signature_cost(config: &CstConfig) -> usize {
+    if config.with_signatures {
+        config.signature_len * 4
+    } else {
+        0
+    }
+}
+
+/// Rejects a configuration no summary can be built under.
+fn validate(config: &CstConfig) -> Result<(), CstError> {
+    if config.signature_len == 0 {
+        return Err(CstError::ZeroSignatureLength);
+    }
+    match config.budget {
+        SpaceBudget::Fraction(fraction) if !(fraction > 0.0 && fraction.is_finite()) => {
+            Err(CstError::InvalidSpaceFraction(fraction))
+        }
+        _ => Ok(()),
+    }
+}
+
+/// Prunes `full` to `config`'s (validated) budget under the CST cost
+/// model.
+fn prune(tree: &DataTree, full: &twig_pst::SuffixTrie, config: &CstConfig) -> PrunedTrie {
+    let sig_cost = signature_cost(config);
+    let cost =
+        move |info: NodeCostInfo| NODE_BASE_COST + if info.label_rooted { sig_cost } else { 0 };
+    match config.budget {
+        SpaceBudget::Bytes(bytes) => full.prune_to_budget(bytes, cost),
+        SpaceBudget::Fraction(fraction) => {
+            let bytes = twig_util::cast::f64_to_size_saturating(
+                twig_util::cast::size_to_f64(tree.source_bytes()) * fraction,
+            );
+            full.prune_to_budget(bytes, cost)
+        }
+        SpaceBudget::Threshold(threshold) => full.prune(threshold),
+    }
+}
+
+/// The signature pass: folds every rooting node into the signatures of
+/// the label-rooted nodes of `trie`, in node order (`None` elsewhere).
+///
+/// Each signature-bearing node gets a slot in one flat pool of `L`-word
+/// rows. [`for_each_rooted_subpath_sharded`] walks one start's chain at
+/// a time, so a start's compact row ([`HashFamily::compact_row_into`])
+/// is computed once per chain and folded into each visited slot by
+/// componentwise minimum. Shards fold into pools of their own, merged by
+/// the same minimum, so the outcome is identical for every thread count.
+fn build_signatures(
+    tree: &DataTree,
+    trie: &PrunedTrie,
+    config: &CstConfig,
+) -> Vec<Option<CompactSignature>> {
+    let len = config.signature_len;
+    let bears = |node: TrieNodeId| node != TrieNodeId::ROOT && trie.label_rooted(node);
+    let mut slot_count = 0usize;
+    let slots: Vec<Option<usize>> = trie
+        .node_ids()
+        .map(|node| {
+            bears(node).then(|| {
+                slot_count += 1;
+                slot_count - 1
+            })
+        })
+        .collect();
+    let family = HashFamily::new(len, config.seed);
+    let shard_pool = |shard: usize, of: usize| {
+        let mut pool = vec![u32::MAX; slot_count * len];
+        let mut row = vec![u32::MAX; len];
+        let mut row_start = None;
+        for_each_rooted_subpath_sharded(tree, trie, &config.trie, shard, of, |start, node| {
+            let Some(slot) = slots.get(node.index()).copied().flatten() else {
+                return;
+            };
+            if row_start != Some(start) {
+                family.compact_row_into(u64::from(start.0), &mut row);
+                row_start = Some(start);
+            }
+            if let Some(acc) = pool.get_mut(slot * len..(slot + 1) * len) {
+                kernels::union_min_into(acc, &row);
+            }
+        });
+        pool
+    };
+    let threads = config.threads.max(1);
+    let pool = if threads == 1 {
+        shard_pool(0, 1)
+    } else {
+        let shards: Vec<Vec<u32>> = std::thread::scope(|scope| {
+            let handles: Vec<_> =
+                (0..threads).map(|shard| scope.spawn(move || shard_pool(shard, threads))).collect();
+            handles
+                .into_iter()
+                .map(|h| match h.join() {
+                    Ok(shard) => shard,
+                    // Propagate a worker panic verbatim instead of
+                    // wrapping it in a second panic site.
+                    Err(payload) => std::panic::resume_unwind(payload),
+                })
+                .collect()
+        });
+        shards
+            .into_iter()
+            .reduce(|mut merged, shard| {
+                kernels::union_min_into(&mut merged, &shard);
+                merged
+            })
+            // threads >= 2 on this branch, so there is always a shard to
+            // reduce; an empty default keeps this expression panic-free
+            // regardless.
+            .unwrap_or_default()
+    };
+    let mut rows = pool.chunks_exact(len);
+    slots
+        .iter()
+        .map(|slot| {
+            slot.and_then(|_| rows.next()).map(|row| Signature::from_components(row.to_vec()))
+        })
+        .collect()
+}
+
 /// The correlated subpath tree — the complete summary data structure.
 ///
 /// Self-contained: estimation needs no access to the original data tree
@@ -112,16 +235,19 @@ impl Cst {
     /// Builds the CST for `tree` under `config`.
     ///
     /// Two passes over the data: one to build and count the full suffix
-    /// trie (then pruned to budget), one to fold rooting-node ids into the
-    /// signatures of the surviving label-rooted subpaths.
+    /// trie, pruned to budget and then freed, and one to fold rooting-node
+    /// ids into the signatures of the surviving label-rooted subpaths.
     ///
     /// # Errors
     ///
     /// Returns [`CstError`] when the configuration is unusable (zero
-    /// signature length, non-positive space fraction).
+    /// signature length, non-positive space fraction), before any work.
     pub fn build(tree: &DataTree, config: &CstConfig) -> Result<Self, CstError> {
-        let full = build_suffix_trie(tree, &config.trie);
-        Self::from_trie(tree, &full, config)
+        validate(config)?;
+        // The full trie is a temporary: it is dropped once pruned, before
+        // the signature pass allocates.
+        let trie = prune(tree, &build_suffix_trie(tree, &config.trie), config);
+        Ok(Self::assemble(tree, trie, config))
     }
 
     /// Builds the CST from an already-constructed full suffix trie (lets
@@ -136,95 +262,20 @@ impl Cst {
         full: &twig_pst::SuffixTrie,
         config: &CstConfig,
     ) -> Result<Self, CstError> {
-        if config.signature_len == 0 {
-            return Err(CstError::ZeroSignatureLength);
-        }
-        let sig_cost = if config.with_signatures { config.signature_len * 4 } else { 0 };
-        let cost =
-            move |info: NodeCostInfo| NODE_BASE_COST + if info.label_rooted { sig_cost } else { 0 };
-        let trie = match config.budget {
-            SpaceBudget::Bytes(bytes) => full.prune_to_budget(bytes, cost),
-            SpaceBudget::Fraction(fraction) => {
-                if !(fraction > 0.0 && fraction.is_finite()) {
-                    return Err(CstError::InvalidSpaceFraction(fraction));
-                }
-                let bytes = twig_util::cast::f64_to_size_saturating(
-                    twig_util::cast::size_to_f64(tree.source_bytes()) * fraction,
-                );
-                full.prune_to_budget(bytes, cost)
-            }
-            SpaceBudget::Threshold(threshold) => full.prune(threshold),
-        };
+        validate(config)?;
+        Ok(Self::assemble(tree, prune(tree, full, config), config))
+    }
 
-        // Signature pass (optionally sharded across threads; shard
-        // results merge by componentwise min, so the outcome is identical
-        // for every thread count).
-        let signatures: Vec<Option<CompactSignature>> = if config.with_signatures {
-            let family = HashFamily::new(config.signature_len, config.seed);
-            let threads = config.threads.max(1);
-            let shard_signatures = |shard: usize, of: usize| {
-                let mut building: Vec<Option<Signature<u64>>> = (0..trie.node_count())
-                    .map(|i| {
-                        let id = TrieNodeId(i as u32);
-                        (id != TrieNodeId::ROOT && trie.label_rooted(id))
-                            .then(|| Signature::empty(config.signature_len))
-                    })
-                    .collect();
-                for_each_rooted_subpath_sharded(
-                    tree,
-                    &trie,
-                    &config.trie,
-                    shard,
-                    of,
-                    |start, node| {
-                        if let Some(sig) = building[node.index()].as_mut() {
-                            sig.insert(&family, u64::from(start.0));
-                        }
-                    },
-                );
-                building
-            };
-            let building = if threads == 1 {
-                shard_signatures(0, 1)
-            } else {
-                let shards: Vec<Vec<Option<Signature<u64>>>> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..threads)
-                        .map(|shard| scope.spawn(move || shard_signatures(shard, threads)))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| match h.join() {
-                            Ok(shard) => shard,
-                            // Propagate a worker panic verbatim instead
-                            // of wrapping it in a second panic site.
-                            Err(payload) => std::panic::resume_unwind(payload),
-                        })
-                        .collect()
-                });
-                shards
-                    .into_iter()
-                    .reduce(|mut merged, shard| {
-                        for (into, from) in merged.iter_mut().zip(shard) {
-                            if let (Some(a), Some(b)) = (into.as_mut(), from) {
-                                *a = Signature::union(&[a, &b]);
-                            }
-                        }
-                        merged
-                    })
-                    // threads >= 2 on this branch, so there is always a
-                    // shard to reduce; an empty default keeps this
-                    // expression panic-free regardless.
-                    .unwrap_or_default()
-            };
-            building.iter().map(|sig| sig.as_ref().map(Signature::truncate)).collect()
+    /// Adds the signatures and the tree's facts to a pruned trie.
+    fn assemble(tree: &DataTree, trie: PrunedTrie, config: &CstConfig) -> Self {
+        let signatures = if config.with_signatures {
+            build_signatures(tree, &trie, config)
         } else {
             vec![None; trie.node_count()]
         };
-
         let size_bytes = (trie.node_count() - 1) * NODE_BASE_COST
-            + signatures.iter().flatten().count() * sig_cost;
-
-        Ok(Self {
+            + signatures.iter().flatten().count() * signature_cost(config);
+        Self {
             trie,
             signatures,
             interner: tree.interner().clone(),
@@ -234,7 +285,7 @@ impl Cst {
             size_bytes,
             source_bytes: tree.source_bytes(),
             fallback: config.fallback,
-        })
+        }
     }
 
     /// Reassembles a summary from deserialized parts (see `serialize`).
@@ -504,6 +555,35 @@ mod tests {
     }
 
     #[test]
+    fn unusable_configs_fail_before_the_trie_is_built() {
+        let tree = sample_tree();
+        let full = build_suffix_trie(&tree, &TrieConfig::default());
+        // Building a trie under `max_label_depth: 0` panics, so an error
+        // from `build` under it shows the config was checked first.
+        let no_trie = TrieConfig { max_label_depth: 0, ..TrieConfig::default() };
+        let zero_len = CstConfig { signature_len: 0, ..CstConfig::default() };
+        let built = Cst::build(&tree, &CstConfig { trie: no_trie.clone(), ..zero_len.clone() });
+        assert_eq!(built.err(), Some(CstError::ZeroSignatureLength));
+        assert_eq!(
+            Cst::from_trie(&tree, &full, &zero_len).err(),
+            Some(CstError::ZeroSignatureLength)
+        );
+        for fraction in [0.0, -0.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let config =
+                CstConfig { budget: SpaceBudget::Fraction(fraction), ..CstConfig::default() };
+            let built = Cst::build(&tree, &CstConfig { trie: no_trie.clone(), ..config.clone() });
+            for result in [built, Cst::from_trie(&tree, &full, &config)] {
+                match result {
+                    Err(CstError::InvalidSpaceFraction(got)) => {
+                        assert_eq!(got.to_bits(), fraction.to_bits());
+                    }
+                    other => panic!("fraction {fraction}: {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
     fn deterministic_given_seed() {
         let tree = sample_tree();
         let cst1 = Cst::build(&tree, &unpruned_config()).expect("CST config is valid");
@@ -538,6 +618,46 @@ mod parallel_tests {
             serial.write_to(&mut a).unwrap();
             parallel.write_to(&mut b).unwrap();
             assert_eq!(a, b, "threads = {threads} must be byte-identical");
+        }
+    }
+
+    /// Every stored signature equals its definition: the truncated
+    /// min-hash signature of the start ids that `for_each_rooted_subpath`
+    /// yields for the node, whatever the thread count.
+    #[test]
+    fn signatures_match_their_definition() {
+        let xml = generate_dblp(&DblpConfig {
+            target_bytes: 200 << 10,
+            seed: 78,
+            ..DblpConfig::default()
+        });
+        let tree = DataTree::from_xml(&xml).unwrap();
+        let base = CstConfig { budget: SpaceBudget::Threshold(2), ..CstConfig::default() };
+        for threads in [1usize, 3] {
+            let cst = Cst::build(&tree, &CstConfig { threads, ..base.clone() })
+                .expect("CST config is valid");
+            let mut starts: Vec<Vec<u64>> = vec![Vec::new(); cst.node_count()];
+            twig_pst::builder::for_each_rooted_subpath(
+                &tree,
+                cst.trie(),
+                &base.trie,
+                |start, node| {
+                    starts[node.index()].push(u64::from(start.0));
+                },
+            );
+            let family = HashFamily::new(cst.signature_len(), cst.seed());
+            let mut checked = 0usize;
+            for node in cst.trie().node_ids().skip(1) {
+                if !cst.trie().label_rooted(node) {
+                    assert!(cst.signature(node).is_none(), "{node:?}");
+                    continue;
+                }
+                let expected =
+                    Signature::build(&family, starts[node.index()].iter().copied()).truncate();
+                assert_eq!(cst.signature(node), Some(&expected), "threads {threads}, {node:?}");
+                checked += 1;
+            }
+            assert!(checked > 1000, "only {checked} signatures checked");
         }
     }
 

@@ -11,8 +11,14 @@
 //! estimate by one ulp, or any rendered explanation by one byte, fails
 //! here and names the cell that moved.
 //!
-//! To re-record after an intended change of estimates, run this test
-//! and paste the `actual` table its failure message prints.
+//! The same test pins the summaries themselves: each (corpus, budget)
+//! cell's owned `write_to` bytes and its flat `writer::pack` bytes fold
+//! into digests of their own, beside a `Threshold(2)` build on three
+//! threads and a build without signatures. A change to the summary
+//! builder that moves one stored byte fails here and names the build.
+//!
+//! To re-record after an intended change of estimates or summaries, run
+//! this test and paste the `actual` table its failure message prints.
 
 use twig_core::{Algorithm, CountKind, Cst, CstConfig, SignatureFallback, SpaceBudget};
 use twig_datagen::{
@@ -78,16 +84,42 @@ fn workload(tree: &DataTree, seed: u64) -> Vec<Twig> {
     queries
 }
 
-/// The digests of one corpus, keyed `corpus/budget/algorithm/kind`.
-fn corpus_digests(corpus: &str, xml: &str, seed: u64, out: &mut Vec<(String, u64)>) {
+/// Pushes the digests of `cst`'s owned and flat bytes, keyed
+/// `corpus/build/owned` and `corpus/build/flat`.
+fn summary_digests(key: &str, cst: &Cst, out: &mut Vec<(String, u64)>) {
+    let mut owned = Vec::new();
+    cst.write_to(&mut owned).expect("owned summary writes");
+    let mut digest = Digest::new();
+    digest.bytes(&owned);
+    out.push((format!("{key}/owned"), digest.0));
+    let mut digest = Digest::new();
+    digest.bytes(&writer::pack(cst).expect("packs"));
+    out.push((format!("{key}/flat"), digest.0));
+}
+
+/// The digests of one corpus: estimates keyed
+/// `corpus/budget/algorithm/kind` into `out`, summary bytes keyed
+/// `corpus/build/form` into `summaries`.
+fn corpus_digests(
+    corpus: &str,
+    xml: &str,
+    seed: u64,
+    out: &mut Vec<(String, u64)>,
+    summaries: &mut Vec<(String, u64)>,
+) {
     let tree = DataTree::from_xml(xml).expect("generated corpus parses");
     let queries = workload(&tree, seed);
     for (budget_name, budget) in BUDGETS {
         let mut cells: Vec<Digest> =
             (0..Algorithm::ALL.len() * KINDS.len()).map(|_| Digest::new()).collect();
-        for fallback in FALLBACKS {
+        for (build, fallback) in FALLBACKS.into_iter().enumerate() {
             let cst = Cst::build(&tree, &CstConfig { budget, fallback, ..CstConfig::default() })
                 .expect("CST builds");
+            // The fallback is a query-time choice and is not stored, so
+            // one of the two builds pins the bytes.
+            if build == 0 {
+                summary_digests(&format!("{corpus}/{budget_name}"), &cst, summaries);
+            }
             let flat = FlatCst::from_bytes(writer::pack(&cst).expect("packs")).expect("flat opens");
             for (index, twig) in queries.iter().enumerate() {
                 let mut cell = cells.iter_mut();
@@ -113,6 +145,42 @@ fn corpus_digests(corpus: &str, xml: &str, seed: u64, out: &mut Vec<(String, u64
             }
         }
     }
+    let extra = [
+        (
+            "t2-threads3",
+            CstConfig { budget: SpaceBudget::Threshold(2), threads: 3, ..CstConfig::default() },
+        ),
+        (
+            "f05-nosig",
+            CstConfig {
+                budget: SpaceBudget::Fraction(0.05),
+                with_signatures: false,
+                ..CstConfig::default()
+            },
+        ),
+    ];
+    for (build_name, config) in extra {
+        let cst = Cst::build(&tree, &config).expect("CST builds");
+        summary_digests(&format!("{corpus}/{build_name}"), &cst, summaries);
+    }
+}
+
+/// Fails naming every cell of `actual` whose digest differs from
+/// `expected`, and prints the whole `actual` table for re-recording.
+fn assert_digests(what: &str, actual: &[(String, u64)], expected: &[(&str, u64)]) {
+    let moved: Vec<&str> = actual
+        .iter()
+        .filter(|(key, value)| !expected.iter().any(|(k, v)| k == key && v == value))
+        .map(|(key, _)| key.as_str())
+        .collect();
+    let table: String =
+        actual.iter().map(|(key, value)| format!("    (\"{key}\", {value:#018x}),\n")).collect();
+    assert!(
+        moved.is_empty() && actual.len() == expected.len(),
+        "{} of {} {what} digests moved: {moved:?}\nactual:\n{table}",
+        moved.len(),
+        actual.len()
+    );
 }
 
 /// Digests recorded before the estimate path was rebuilt on index
@@ -192,31 +260,46 @@ const EXPECTED: &[(&str, u64)] = &[
     ("sprot/f05/MSH/Occurrence", 0x9ca4aae61161682d),
 ];
 
+/// Summary-byte digests recorded before the summary builder's passes
+/// were reworked; every later commit must reproduce them byte for byte.
+const SUMMARY_EXPECTED: &[(&str, u64)] = &[
+    ("dblp/t1/owned", 0x1616d1dcf7dd03c6),
+    ("dblp/t1/flat", 0xaaf53d335f244ec9),
+    ("dblp/f20/owned", 0xa4eb08d14581af70),
+    ("dblp/f20/flat", 0x9296aa53ff4e1ea6),
+    ("dblp/f05/owned", 0xb594457681c4b586),
+    ("dblp/f05/flat", 0xda9e60df2555365a),
+    ("dblp/t2-threads3/owned", 0xeae46c6953845291),
+    ("dblp/t2-threads3/flat", 0xafdd721c67f2c930),
+    ("dblp/f05-nosig/owned", 0x7fa0678a3767c3ec),
+    ("dblp/f05-nosig/flat", 0x4654fc8fa0f181c1),
+    ("sprot/t1/owned", 0x602795c1651b033f),
+    ("sprot/t1/flat", 0xf2eb1d1dff8d7c63),
+    ("sprot/f20/owned", 0x1b2f21ec6d9d341f),
+    ("sprot/f20/flat", 0x0dd0d315183436be),
+    ("sprot/f05/owned", 0x6bd58a5ff185cd92),
+    ("sprot/f05/flat", 0x545fdd505d862a79),
+    ("sprot/t2-threads3/owned", 0x157874710878c7e1),
+    ("sprot/t2-threads3/flat", 0x3b7c1c85b1e79c53),
+    ("sprot/f05-nosig/owned", 0x41c7d7246db40bcc),
+    ("sprot/f05-nosig/flat", 0xa199b0fb9b6f8c58),
+];
+
 #[test]
 fn estimates_and_explanations_match_the_recorded_digests() {
     let mut actual = Vec::new();
+    let mut summaries = Vec::new();
     let dblp_seed = 0xD16E_5701;
     let dblp = generate_dblp(&DblpConfig {
         target_bytes: 30_000,
         seed: dblp_seed,
         ..DblpConfig::default()
     });
-    corpus_digests("dblp", &dblp, dblp_seed, &mut actual);
+    corpus_digests("dblp", &dblp, dblp_seed, &mut actual, &mut summaries);
     let sprot_seed = 0xD16E_5702;
     let sprot = generate_sprot(&SprotConfig { target_bytes: 30_000, seed: sprot_seed });
-    corpus_digests("sprot", &sprot, sprot_seed, &mut actual);
+    corpus_digests("sprot", &sprot, sprot_seed, &mut actual, &mut summaries);
 
-    let moved: Vec<&str> = actual
-        .iter()
-        .filter(|(key, value)| !EXPECTED.iter().any(|(k, v)| k == key && v == value))
-        .map(|(key, _)| key.as_str())
-        .collect();
-    let table: String =
-        actual.iter().map(|(key, value)| format!("    (\"{key}\", {value:#018x}),\n")).collect();
-    assert!(
-        moved.is_empty() && actual.len() == EXPECTED.len(),
-        "{} of {} digests moved: {moved:?}\nactual:\n{table}",
-        moved.len(),
-        actual.len()
-    );
+    assert_digests("estimate", &actual, EXPECTED);
+    assert_digests("summary", &summaries, SUMMARY_EXPECTED);
 }

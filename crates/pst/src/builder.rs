@@ -1,6 +1,8 @@
-//! Single-pass suffix trie construction with exact counts.
+//! Suffix trie construction with exact counts: a path pass for the
+//! label-rooted subpaths and a fragment pass per distinct leaf value.
 
 use twig_tree::{DataTree, NodeId};
+use twig_util::FxHashMap;
 
 use crate::trie::{EdgeKey, SuffixTrie, TrieNodeId};
 use crate::PrunedTrie;
@@ -34,16 +36,12 @@ impl TrieConfig {
     }
 }
 
-/// Tag bit distinguishing `(leaf, offset)` string starts from element-node
-/// starts in the presence dedup stamp.
-const STRING_START_TAG: u64 = 1 << 63;
+/// Suffixes of one leaf value the fragment pass walks together.
+const LANES: usize = 8;
 
-#[inline]
-fn string_start_id(leaf: NodeId, offset: usize) -> u64 {
-    STRING_START_TAG | (u64::from(leaf.0) << 24) | (offset as u64 & 0xff_ffff)
-}
-
-/// Builds the full path suffix trie for `tree` (Sec. 3.1).
+/// Builds the full path suffix trie for `tree` (Sec. 3.1): a path pass
+/// for the label-rooted subpaths, then a fragment pass per distinct leaf
+/// value (see the crate docs).
 ///
 /// Counts are exact under the precondition documented at the crate root
 /// (no subpath matches a single root-to-leaf path at two distinct starts).
@@ -51,69 +49,65 @@ pub fn build_suffix_trie(tree: &DataTree, config: &TrieConfig) -> SuffixTrie {
     config.validate();
     let mut trie = SuffixTrie::new();
     let mut path_id: u32 = 0;
+    let mut leaves_per_value: FxHashMap<&str, u32> = FxHashMap::default();
 
     tree.for_each_root_to_leaf_path(|path| {
-        insert_path(&mut trie, tree, path, path_id, config);
+        if let Some(value) = insert_path(&mut trie, tree, path, path_id, config) {
+            *leaves_per_value.entry(value).or_insert(0) += 1;
+        }
         path_id += 1;
     });
     trie.total_paths = path_id;
+    // Fewer distinct values than paths, so the indices fit a `u32`.
+    for ((value, leaves), index) in leaves_per_value.into_iter().zip(0u32..) {
+        insert_fragments(&mut trie, value.as_bytes(), index, leaves, config.max_string_suffix);
+    }
     trie
 }
 
-fn insert_path(
+/// Inserts the label-rooted subpaths of one root-to-leaf path and
+/// returns its leaf value, if it ends in one.
+fn insert_path<'t>(
     trie: &mut SuffixTrie,
-    tree: &DataTree,
+    tree: &'t DataTree,
     path: &[NodeId],
     path_id: u32,
     config: &TrieConfig,
-) {
+) -> Option<&'t str> {
     // Split into the element chain and the optional trailing text leaf.
-    let (elements, value): (&[NodeId], Option<(NodeId, &str)>) = match path.split_last() {
-        Some((&last, init)) if tree.text(last).is_some() => {
-            (init, Some((last, tree.text(last).expect("checked"))))
-        }
-        _ => (path, None),
+    let (elements, value) = match path.split_last() {
+        Some((&last, init)) => match tree.text(last) {
+            Some(text) => (init, Some((last, text))),
+            None => (path, None),
+        },
+        None => (path, None),
     };
-
     // Label-start suffixes: every start position i in the element chain.
     for i in 0..elements.len() {
-        let start = u64::from(elements[i].0);
+        let start = elements[i].0;
         let mut node = TrieNodeId::ROOT;
         let depth_end = (i + config.max_label_depth).min(elements.len());
-        for (j, &element) in elements.iter().enumerate().take(depth_end).skip(i) {
+        for &element in &elements[i..depth_end] {
             let sym = tree.element_symbol(element).expect("element chain");
             node = trie.child_or_insert(node, EdgeKey::element(sym));
-            stamp(trie, node, path_id, start, u64::from(elements[j].0));
+            stamp(trie, node, path_id, start, element.0);
         }
         // Value-prefix extension, only when the chain from i reached the
         // last element (otherwise the subpath is not contiguous).
         if depth_end == elements.len() {
             if let Some((leaf, text)) = value {
-                let end = u64::from(leaf.0);
                 for &byte in text.as_bytes().iter().take(config.max_value_prefix) {
                     node = trie.child_or_insert(node, EdgeKey::ch(byte));
-                    stamp(trie, node, path_id, start, end);
+                    stamp(trie, node, path_id, start, leaf.0);
                 }
             }
         }
     }
-
-    // Pure string fragments: suffixes starting inside the value.
-    if let Some((leaf, text)) = value {
-        let bytes = text.as_bytes();
-        for offset in 0..bytes.len() {
-            let id = string_start_id(leaf, offset);
-            let mut node = TrieNodeId::ROOT;
-            for &byte in bytes[offset..].iter().take(config.max_string_suffix) {
-                node = trie.child_or_insert(node, EdgeKey::ch(byte));
-                stamp(trie, node, path_id, id, id);
-            }
-        }
-    }
+    value.map(|(_, text)| text)
 }
 
 #[inline]
-fn stamp(trie: &mut SuffixTrie, node: TrieNodeId, path_id: u32, start: u64, end: u64) {
+fn stamp(trie: &mut SuffixTrie, node: TrieNodeId, path_id: u32, start: u32, end: u32) {
     let data = &mut trie.nodes[node.index()];
     if data.last_path != path_id {
         data.path_count += 1;
@@ -126,6 +120,36 @@ fn stamp(trie: &mut SuffixTrie, node: TrieNodeId, path_id: u32, start: u64, end:
     if data.last_end != end {
         data.occurrence += 1;
         data.last_end = end;
+    }
+}
+
+/// Inserts the pure string fragments of one distinct leaf value held by
+/// `leaves` leaves: the suffixes of `bytes`, each cut to `max_len`.
+///
+/// Every suffix that reaches a node adds `leaves` to its presence and
+/// occurrence (a fragment's start is its instance), and `pc` gains
+/// `leaves` once per value, stamped with the value's `index`.
+///
+/// The suffixes are walked [`LANES`] offsets at a time, advancing one
+/// depth step together: their probes of the child map are independent,
+/// so their cache misses overlap. The stamps do not depend on order.
+fn insert_fragments(trie: &mut SuffixTrie, bytes: &[u8], index: u32, leaves: u32, max_len: usize) {
+    for first in (0..bytes.len()).step_by(LANES) {
+        let mut lanes = [TrieNodeId::ROOT; LANES];
+        for depth in 0..(bytes.len() - first).min(max_len) {
+            // Lane k walks the suffix at `first + k`; the zip retires the
+            // lanes whose suffix has ended.
+            for (node, &byte) in lanes.iter_mut().zip(&bytes[first + depth..]) {
+                *node = trie.child_or_insert(*node, EdgeKey::ch(byte));
+                let data = &mut trie.nodes[node.index()];
+                if data.last_path != index {
+                    data.path_count += leaves;
+                    data.last_path = index;
+                }
+                data.presence += leaves;
+                data.occurrence += leaves;
+            }
+        }
     }
 }
 

@@ -31,9 +31,24 @@
 //! periodic trees the counts degrade gracefully to slight overcounts; see
 //! the count tests and property tests.
 //!
+//! [`build_suffix_trie`] counts in two passes:
+//!
+//! - The **path pass** walks every root-to-leaf path once, in document
+//!   order, and inserts its label-rooted subpaths (shapes 1 and 2). Each
+//!   node keeps the last path, start element and end node that counted
+//!   it, so `pc`, `Cp` and `Co` each count a repeat once.
+//! - The **fragment pass** inserts the pure string fragments (shape 3).
+//!   A fragment depends only on the leaf value, and most values repeat
+//!   (three leaves in four on the DBLP-like corpus), so each *distinct*
+//!   value's suffixes are walked once, weighted by the number of leaves
+//!   holding it. Fragment nodes hang under the root's character edges,
+//!   so the two passes never count the same node.
+//!
 //! [`SuffixTrie::prune`] thresholds on `pc`, preserving the monotonicity
 //! property the estimators rely on (every sub-subpath of a kept subpath is
-//! kept); [`SuffixTrie::prune_to_budget`] searches the threshold under a
+//! kept), and renumbers the kept nodes depth-first by sorted edge, so no
+//! summary depends on the full trie's node ids;
+//! [`SuffixTrie::prune_to_budget`] picks the threshold under a
 //! caller-supplied per-node cost model so the summary lands within a byte
 //! budget.
 

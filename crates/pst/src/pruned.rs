@@ -2,7 +2,7 @@
 
 use twig_util::FxHashMap;
 
-use crate::trie::{EdgeKey, PathToken, SuffixTrie, TrieNodeId};
+use crate::trie::{EdgeKey, NodeData, PathToken, SuffixTrie, TrieNodeId};
 
 /// Per-node payload of the pruned trie (dedup stamps dropped).
 #[derive(Debug, Clone)]
@@ -105,6 +105,36 @@ impl SuffixTrie {
     /// every sub-subpath of a kept subpath is kept.
     pub fn prune(&self, threshold: u32) -> PrunedTrie {
         let threshold = threshold.max(1);
+        let kept = |data: &NodeData| data.path_count >= threshold;
+        // Counting sort of the kept edges by old parent id: count each
+        // parent's kept children, turn the counts into run ends, then
+        // fill every run from its end. Afterwards old node `p`'s kept
+        // children are `edges[runs[p]..runs[p + 1]]`, edge-sorted for
+        // reproducible ids.
+        let mut runs = vec![0u32; self.nodes.len() + 1];
+        for data in self.nodes.iter().skip(1).filter(|data| kept(data)) {
+            runs[data.parent as usize] += 1;
+        }
+        let mut end = 0u32;
+        for run in &mut runs {
+            end += *run;
+            *run = end;
+        }
+        let mut edges = vec![(0u32, 0u32); end as usize];
+        for (old_child, data) in (0u32..).zip(&self.nodes).skip(1).filter(|(_, data)| kept(data)) {
+            let run = &mut runs[data.parent as usize];
+            *run -= 1;
+            edges[*run as usize] = (data.edge, old_child);
+        }
+        for run in runs.windows(2) {
+            edges[run[0] as usize..run[1] as usize].sort_unstable();
+        }
+        // Depth-first renumbering: siblings get consecutive ids in edge
+        // order, and a node's subtree is numbered before its next
+        // sibling's. CSR regions are laid out in id order, so a unary
+        // chain — the common shape, one value byte per node — occupies
+        // *adjacent* regions and a downward walk streams sequentially
+        // through `children` instead of striding across BFS levels.
         let mut nodes = vec![PrunedNode {
             parent: u32::MAX,
             edge: u32::MAX,
@@ -113,34 +143,16 @@ impl SuffixTrie {
             occurrence: 0,
             label_rooted: false,
         }];
-        // Old trie children are only reachable through the global map; walk
-        // all edges grouped by parent. Build a per-parent adjacency pass
-        // first to avoid scanning the whole map per node.
-        let mut adjacency: FxHashMap<u32, Vec<(u32, u32)>> = FxHashMap::default();
-        for (&(parent, edge), &child) in &self.children {
-            if self.nodes[child as usize].path_count >= threshold {
-                adjacency.entry(parent).or_default().push((edge, child));
-            }
-        }
-        // Depth-first renumbering: siblings get consecutive ids in edge
-        // order, and a node's subtree is numbered before its next
-        // sibling's. CSR regions are laid out in id order, so a unary
-        // chain — the common shape, one value byte per node — occupies
-        // *adjacent* regions and a downward walk streams sequentially
-        // through `children` instead of striding across BFS levels.
-        let mut kids: Vec<Vec<(u32, u32)>> = vec![Vec::new()];
+        // Per new id: its first child's new id and its child count.
+        let mut families = vec![(0u32, 0u32); edges.len() + 1];
         let mut stack: Vec<(u32, u32)> = vec![(0, 0)];
         while let Some((old_id, new_id)) = stack.pop() {
-            let Some(edges) = adjacency.get(&old_id) else {
-                continue;
-            };
-            // Deterministic ordering for reproducible node ids.
-            let mut edges = edges.clone();
-            edges.sort_unstable();
-            let mut assigned: Vec<(u32, u32)> = Vec::with_capacity(edges.len());
-            for &(edge, old_child) in &edges {
+            let kids = &edges[runs[old_id as usize] as usize..runs[old_id as usize + 1] as usize];
+            let new_child = u32::try_from(nodes.len()).expect("pruned trie too large");
+            let new_kids = new_child..new_child + kids.len() as u32;
+            families[new_id as usize] = (new_child, kids.len() as u32);
+            for &(edge, old_child) in kids {
                 let data = &self.nodes[old_child as usize];
-                let new_child = u32::try_from(nodes.len()).expect("pruned trie too large");
                 nodes.push(PrunedNode {
                     parent: new_id,
                     edge,
@@ -149,21 +161,20 @@ impl SuffixTrie {
                     occurrence: data.occurrence,
                     label_rooted: data.label_rooted,
                 });
-                kids[new_id as usize].push((edge, new_child));
-                kids.push(Vec::new());
-                assigned.push((old_child, new_child));
             }
             // LIFO stack: push in reverse so the smallest edge's subtree
             // is numbered first.
-            for &entry in assigned.iter().rev() {
-                stack.push(entry);
+            for (&(_, old_child), new) in kids.iter().zip(new_kids).rev() {
+                stack.push((old_child, new));
             }
         }
+        families.truncate(nodes.len());
         let mut child_start: Vec<u32> = Vec::with_capacity(nodes.len() + 1);
         let mut children: Vec<ChildEntry> = Vec::with_capacity(nodes.len().saturating_sub(1));
-        for list in &kids {
+        for &(first, count) in &families {
             child_start.push(children.len() as u32);
-            for &(edge, target) in list {
+            for target in first..first + count {
+                let edge = nodes[target as usize].edge;
                 children.push(ChildEntry { edge, target, target_start: 0, target_len: 0 });
             }
         }

@@ -108,10 +108,12 @@ pub(crate) struct NodeData {
     pub presence: u32,
     /// Co(α): # distinct instances.
     pub occurrence: u32,
-    /// Dedup stamps (only live during construction).
+    /// Dedup stamps (only live during construction): the last path (or,
+    /// on a fragment node, the last distinct leaf value), start element
+    /// and end node that counted here.
     pub last_path: u32,
-    pub last_start: u64,
-    pub last_end: u64,
+    pub last_start: u32,
+    pub last_end: u32,
     /// True when the first edge on the subpath is an element label.
     pub label_rooted: bool,
 }
@@ -164,8 +166,8 @@ impl SuffixTrie {
             parent: node.0,
             edge: edge.raw(),
             last_path: u32::MAX,
-            last_start: u64::MAX,
-            last_end: u64::MAX,
+            last_start: u32::MAX,
+            last_end: u32::MAX,
             label_rooted,
             ..NodeData::default()
         });

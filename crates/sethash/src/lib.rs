@@ -101,12 +101,40 @@ impl HashFamily {
     /// order statistic, which plain linear congruences do not.
     #[inline]
     pub fn hash(&self, i: usize, element: u64) -> u64 {
-        let mut x = element.wrapping_mul(self.mults[i]).wrapping_add(self.adds[i]);
-        x ^= x >> 33;
-        x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
-        x ^= x >> 33;
-        x
+        mix(element, self.mults[i], self.adds[i])
     }
+
+    /// Writes `element`'s compact signature row: component `i` is
+    /// `h_i(element)` truncated as [`Signature::truncate`] truncates it.
+    /// Truncation is monotone, so it commutes with the minimum: folding
+    /// the rows of a set's elements by componentwise minimum
+    /// ([`kernels::union_min_into`], from all `u32::MAX`) gives exactly
+    /// `Signature::build(family, set).truncate()`. Fills the first
+    /// `min(row.len(), L)` components.
+    #[inline]
+    pub fn compact_row_into(&self, element: u64, row: &mut [u32]) {
+        for ((slot, &mult), &add) in row.iter_mut().zip(&self.mults).zip(&self.adds) {
+            *slot = truncate_component(mix(element, mult, add));
+        }
+    }
+}
+
+/// One hash function of the family: a wrapping multiply-add followed by
+/// a xor-shift finalizer.
+#[inline]
+fn mix(element: u64, mult: u64, add: u64) -> u64 {
+    let mut x = element.wrapping_mul(mult).wrapping_add(add);
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    x ^= x >> 33;
+    x
+}
+
+/// The storage truncation: a component's top 32 bits. Monotone, and it
+/// maps `u64::MAX` (`EMPTY`) to `u32::MAX`.
+#[inline]
+fn truncate_component(component: u64) -> u32 {
+    (component >> 32) as u32
 }
 
 /// Storage-friendly signature with 32-bit components.
@@ -145,7 +173,7 @@ impl Signature<u64> {
     /// The map is monotone, so minima (and hence union signatures) are
     /// preserved; `EMPTY` maps to `EMPTY`.
     pub fn truncate(&self) -> CompactSignature {
-        Signature { components: self.components.iter().map(|&c| (c >> 32) as u32).collect() }
+        Signature { components: self.components.iter().map(|&c| truncate_component(c)).collect() }
     }
 }
 
@@ -580,6 +608,23 @@ mod tests {
         let full = Signature::resemblance(&[&a, &b]);
         let compact = Signature::resemblance(&[&a.truncate(), &b.truncate()]);
         assert!((full - compact).abs() < 0.02, "full {full} vs compact {compact}");
+    }
+
+    #[test]
+    fn compact_rows_fold_to_the_truncated_signature() {
+        for (len, seed) in [(1usize, 3u64), (32, 0x7716_C0DE), (33, 9)] {
+            let fam = HashFamily::new(len, seed);
+            for set in [0..0u64, 5..6, 0..200, 1 << 40..(1 << 40) + 50] {
+                let mut folded = vec![u32::MAX; len];
+                let mut row = vec![0u32; len];
+                for element in set.clone() {
+                    fam.compact_row_into(element, &mut row);
+                    kernels::union_min_into(&mut folded, &row);
+                }
+                let expected = Signature::build(&fam, set.clone()).truncate();
+                assert_eq!(folded, expected.components(), "len {len} set {set:?}");
+            }
+        }
     }
 
     #[test]

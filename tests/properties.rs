@@ -96,6 +96,32 @@ fn tokens_to_twig(tree: &DataTree, tokens: &[PathToken]) -> Option<Twig> {
     Some(Twig::path(&labels, (!value.is_empty()).then_some(value.as_str())))
 }
 
+/// The token sequence of every root-to-leaf path: its element labels,
+/// then the bytes of its leaf value.
+fn path_tokens(tree: &DataTree) -> Vec<Vec<PathToken>> {
+    let mut paths = Vec::new();
+    tree.for_each_root_to_leaf_path(|path| {
+        let mut tokens = Vec::new();
+        for &node in path {
+            match (tree.element_symbol(node), tree.text(node)) {
+                (Some(sym), _) => tokens.push(PathToken::Element(sym)),
+                (None, Some(text)) => tokens.extend(text.bytes().map(PathToken::Char)),
+                (None, None) => unreachable!("a node is an element or a text leaf"),
+            }
+        }
+        paths.push(tokens);
+    });
+    paths
+}
+
+/// `pc` by its definition: the number of root-to-leaf paths that contain
+/// `subpath` as a contiguous run of tokens.
+fn paths_containing(paths: &[Vec<PathToken>], subpath: &[PathToken]) -> u32 {
+    let count =
+        paths.iter().filter(|path| path.windows(subpath.len()).any(|w| w == subpath)).count();
+    u32::try_from(count).expect("path count fits u32")
+}
+
 /// Counts occurrences of `fragment` across all `(leaf, offset)` positions.
 fn substring_positions(tree: &DataTree, fragment: &[u8]) -> u64 {
     let mut total = 0u64;
@@ -115,18 +141,25 @@ fn substring_positions(tree: &DataTree, fragment: &[u8]) -> u64 {
 }
 
 /// Every label-rooted trie count equals what the exact twig counter
-/// computes for the corresponding single-path query.
+/// computes for the corresponding single-path query, and `pc` equals a
+/// scan of the root-to-leaf paths.
 #[test]
 fn trie_counts_match_exact_counter() {
     for seed in seeds() {
         let tree = random_tree(seed, 3, 4);
         let trie = build_suffix_trie(&tree, &TrieConfig::default());
         let pruned = trie.prune(1);
+        let paths = path_tokens(&tree);
         for node in pruned.node_ids().skip(1) {
             if !pruned.label_rooted(node) {
                 continue;
             }
             let tokens = pruned.tokens_of(node);
+            assert_eq!(
+                pruned.path_count(node),
+                paths_containing(&paths, &tokens),
+                "seed {seed}: pc mismatch for {tokens:?}"
+            );
             let Some(twig) = tokens_to_twig(&tree, &tokens) else {
                 continue;
             };
@@ -146,13 +179,18 @@ fn trie_counts_match_exact_counter() {
     }
 }
 
-/// String-fragment presence counts equal a direct substring scan.
+/// String-fragment counts equal a direct scan: presence counts the
+/// `(leaf, offset)` positions, occurrence equals presence, and `pc`
+/// counts the root-to-leaf paths whose value contains the fragment. The
+/// values come from a 3-letter alphabet, so they repeat across leaves
+/// and fragments repeat within a value.
 #[test]
 fn trie_string_counts_match_scan() {
     for seed in seeds() {
         let tree = random_tree(seed, 3, 3);
         let trie = build_suffix_trie(&tree, &TrieConfig::default());
         let pruned = trie.prune(1);
+        let paths = path_tokens(&tree);
         for node in pruned.node_ids().skip(1) {
             if pruned.label_rooted(node) {
                 continue;
@@ -165,13 +203,123 @@ fn trie_string_counts_match_scan() {
                     PathToken::Element(_) => unreachable!("string node"),
                 })
                 .collect();
+            let shown = String::from_utf8_lossy(&fragment);
             assert_eq!(
                 u64::from(pruned.presence(node)),
                 substring_positions(&tree, &fragment),
-                "seed {seed}: fragment {:?}",
-                String::from_utf8_lossy(&fragment)
+                "seed {seed}: fragment {shown:?}"
+            );
+            assert_eq!(pruned.occurrence(node), pruned.presence(node), "seed {seed}: {shown:?}");
+            assert_eq!(
+                pruned.path_count(node),
+                paths_containing(&paths, &tokens),
+                "seed {seed}: pc of fragment {shown:?}"
             );
         }
+    }
+}
+
+/// Renders a subpath as its labels joined by `.`, then its value bytes
+/// in quotes: `a.a."x"`, or `"x"` for a pure string fragment.
+fn render_subpath(tree: &DataTree, tokens: &[PathToken]) -> String {
+    let mut labels: Vec<&str> = Vec::new();
+    let mut value = String::new();
+    for token in tokens {
+        match token {
+            PathToken::Element(sym) => labels.push(tree.label_str(*sym)),
+            PathToken::Char(byte) => value.push(char::from(*byte)),
+        }
+    }
+    if !value.is_empty() {
+        value = format!("\"{value}\"");
+        if !labels.is_empty() {
+            value.insert(0, '.');
+        }
+    }
+    format!("{}{value}", labels.join("."))
+}
+
+/// Periodic trees, which repeat a label down a chain, and every trie
+/// node's `subpath pc Cp Co` in pruned-trie order. In the third, `a` is
+/// rooted at 5 nodes but counted 8 times: a path stamps its starts in
+/// turn, so `a1, a3, a4` then `a1, a3, a5` re-count `a1` and `a3`.
+const PERIODIC: &[(&str, &[&str])] = &[
+    (
+        "<a><a><a>x</a></a></a>",
+        &[
+            "a 1 3 3",
+            "\"x\" 1 1 1",
+            "a.a 1 2 2",
+            "a.\"x\" 1 1 1",
+            "a.a.a 1 1 1",
+            "a.a.\"x\" 1 1 1",
+            "a.a.a.\"x\" 1 1 1",
+        ],
+    ),
+    (
+        "<a><b><a><b>xy</b></a></b></a>",
+        &[
+            "a 1 2 2",
+            "b 1 2 2",
+            "\"x\" 1 1 1",
+            "\"y\" 1 1 1",
+            "a.b 1 2 2",
+            "a.b.a 1 1 1",
+            "a.b.\"x\" 1 1 1",
+            "a.b.a.b 1 1 1",
+            "a.b.a.b.\"x\" 1 1 1",
+            "a.b.a.b.\"xy\" 1 1 1",
+            "a.b.\"xy\" 1 1 1",
+            "b.a 1 1 1",
+            "b.\"x\" 1 1 1",
+            "b.a.b 1 1 1",
+            "b.a.b.\"x\" 1 1 1",
+            "b.a.b.\"xy\" 1 1 1",
+            "b.\"xy\" 1 1 1",
+            "\"xy\" 1 1 1",
+        ],
+    ),
+    (
+        "<a><a>aa</a><a><a>a</a><a>aa</a></a></a>",
+        &[
+            "a 3 8 8",
+            "\"a\" 3 5 5",
+            "a.a 3 4 5",
+            "a.\"a\" 3 3 3",
+            "a.a.a 2 1 2",
+            "a.a.\"a\" 3 2 3",
+            "a.a.a.\"a\" 2 1 2",
+            "a.a.a.\"aa\" 1 1 1",
+            "a.a.\"aa\" 2 2 2",
+            "a.\"aa\" 2 2 2",
+            "\"aa\" 2 2 2",
+        ],
+    ),
+];
+
+/// A periodic tree breaks the precondition under which the counts are
+/// exact, and the crate docs promise only slight overcounts there. These
+/// tables, recorded before the full-trie builder was reworked, pin every
+/// node's counts so that the overcounts cannot drift.
+#[test]
+fn periodic_tree_counts_are_pinned() {
+    for &(xml, expected) in PERIODIC {
+        let tree = DataTree::from_xml(xml).expect("periodic tree parses");
+        let pruned = build_suffix_trie(&tree, &TrieConfig::default()).prune(1);
+        let actual: Vec<String> = pruned
+            .node_ids()
+            .skip(1)
+            .map(|node| {
+                format!(
+                    "{} {} {} {}",
+                    render_subpath(&tree, &pruned.tokens_of(node)),
+                    pruned.path_count(node),
+                    pruned.presence(node),
+                    pruned.occurrence(node)
+                )
+            })
+            .collect();
+        assert_eq!(actual, expected, "{xml}\nactual: {actual:#?}");
     }
 }
 
