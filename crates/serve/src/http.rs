@@ -6,6 +6,12 @@
 //! integration tests):
 //!
 //! - request/status line + headers, terminated by a blank line,
+//! - strict field lines (RFC 9112 §5.1–5.2, RFC 9110 §5.1/§5.5): a
+//!   field name is a non-empty token followed at once by `:`, so
+//!   whitespace before the colon, an empty or non-token name and an
+//!   obs-fold continuation line are malformed, and so is a CR, LF or NUL
+//!   inside a value — every line ends in CRLF, and a bare LF can never
+//!   hide a second header inside the first,
 //! - bodies framed by one `Content-Length` of ASCII digits only: a sign,
 //!   a list or a second `Content-Length` header is malformed, so two
 //!   hops can never disagree on where a request ends (the server never
@@ -23,15 +29,26 @@
 //! plus the byte count it consumed, or asks for more bytes — it never
 //! loses data. That is what makes HTTP/1.1 pipelining work: bytes past
 //! one complete request stay in the buffer and frame the next one. The
-//! reactor feeds it whatever each nonblocking read delivered.
+//! reactor feeds it whatever each nonblocking read delivered, framing
+//! every complete request of a read by offset before it drains the
+//! consumed prefix once.
 //!
-//! A [`Response`] writes its head straight into the caller's buffer, with
-//! `write!` for the status and length, so encoding allocates nothing
-//! beyond what the buffer grows by.
+//! Parsing allocates nothing. A [`Request`] borrows its method, target,
+//! field lines and body from the receive buffer, and the framing facts
+//! (`Content-Length`, `Transfer-Encoding`, `Connection`) are read in the
+//! same pass over the head that checks each line.
+//!
+//! A [`Response`] writes its head straight into the caller's buffer, its
+//! status and length as digits pushed in place, so encoding allocates
+//! nothing beyond what the buffer grows by.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
+
+use twig_util::cast::size_to_u64;
+
+use crate::json::write_digits;
 
 /// Read-side limits and deadlines for one connection.
 #[derive(Debug, Clone)]
@@ -96,26 +113,35 @@ impl std::fmt::Display for ReadOutcome {
     }
 }
 
-/// A parsed request.
-#[derive(Debug)]
-pub struct Request {
-    /// Uppercase method (`GET`, `POST`, …) as sent.
-    pub method: String,
+/// A parsed request, borrowing every part from the buffer it was
+/// framed in.
+#[derive(Debug, Clone, Copy)]
+pub struct Request<'a> {
+    /// The method token (`GET`, `POST`, …) as sent.
+    pub method: &'a str,
     /// The request target (path + optional query), as sent.
-    pub target: String,
-    /// Headers with lowercased names, in arrival order.
-    pub headers: Vec<(String, String)>,
+    pub target: &'a str,
+    /// The field lines as sent, CRLF-separated (empty when the request
+    /// has no headers). Every line was checked to be `name: value`.
+    pub fields: &'a str,
     /// The body (empty when no `Content-Length`).
-    pub body: Vec<u8>,
+    pub body: &'a [u8],
     /// Whether the request line said `HTTP/1.0` rather than `HTTP/1.1`.
     pub http_1_0: bool,
+    /// Whether the connection persists after this request, from the
+    /// version and the `Connection` tokens.
+    keep_alive: bool,
 }
 
-impl Request {
-    /// First value of header `name` (lowercase).
+impl<'a> Request<'a> {
+    /// First value of header `name` (any case), without surrounding
+    /// whitespace.
     #[must_use]
-    pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers.iter().find(|(n, _)| n == name).map(|(_, v)| v.as_str())
+    pub fn header(&self, name: &str) -> Option<&'a str> {
+        self.fields.split("\r\n").find_map(|line| {
+            let (field, value) = line.split_once(':')?;
+            field.eq_ignore_ascii_case(name).then(|| value.trim_matches([' ', '\t']))
+        })
     }
 
     /// Whether the connection should be kept open after responding:
@@ -123,24 +149,23 @@ impl Request {
     /// only when one is `keep-alive`.
     #[must_use]
     pub fn keep_alive(&self) -> bool {
-        let listed = |token: &str| {
-            self.headers
-                .iter()
-                .filter(|(name, _)| name == "connection")
-                .flat_map(|(_, value)| value.split(','))
-                .any(|item| item.trim().eq_ignore_ascii_case(token))
-        };
-        !listed("close") && (!self.http_1_0 || listed("keep-alive"))
+        self.keep_alive
     }
 
     /// The path portion of the target (query string stripped).
     #[must_use]
-    pub fn path(&self) -> &str {
+    pub fn path(&self) -> &'a str {
         match self.target.split_once('?') {
             Some((path, _)) => path,
-            None => &self.target,
+            None => self.target,
         }
     }
+}
+
+/// A token character (RFC 9110 §5.6.2): what method and field names are
+/// made of.
+fn is_tchar(byte: u8) -> bool {
+    byte.is_ascii_alphanumeric() || b"!#$%&'*+-.^_`|~".contains(&byte)
 }
 
 /// Granularity of the client read loop: the socket read timeout.
@@ -254,18 +279,90 @@ fn read_body(
 
 /// Outcome of one [`parse_request_bytes`] pass over a receive buffer.
 #[derive(Debug)]
-pub enum Parsed {
+pub enum Parsed<'a> {
     /// The buffer does not yet hold one complete request.
     NeedMore,
     /// One complete request; the first `consumed` buffer bytes framed it
-    /// (the caller drains them and re-parses — pipelined requests queue
-    /// behind them untouched).
+    /// (pipelined requests queue behind them untouched).
     Request {
-        /// The parsed request.
-        request: Request,
+        /// The parsed request, borrowed from the buffer.
+        request: Request<'a>,
         /// Bytes of the buffer this request consumed (head + body).
         consumed: usize,
     },
+}
+
+/// What one pass over the field lines learned.
+#[derive(Default)]
+struct Framing {
+    /// The first malformed line, if any.
+    bad_line: Option<&'static str>,
+    /// The one `Content-Length`, once read.
+    length: Option<usize>,
+    bad_length: bool,
+    duplicate_length: bool,
+    transfer_encoding: bool,
+    close: bool,
+    keep_alive: bool,
+}
+
+impl Framing {
+    /// Checks one field line and notes what it says about framing.
+    fn field(&mut self, line: &[u8]) {
+        let name_len = line.iter().position(|&byte| !is_tchar(byte)).unwrap_or(line.len());
+        let (name, rest) = line.split_at(name_len);
+        let problem = match (line.first(), rest.split_first()) {
+            (Some(b' ' | b'\t'), _) => Some("obs-fold line"),
+            (_, Some((b':', value))) if !name.is_empty() => {
+                // Lines end at LF, so a value can only hide a CR or a NUL.
+                if value.iter().any(|&byte| matches!(byte, b'\r' | 0)) {
+                    Some("CR or NUL in a header value")
+                } else {
+                    self.note(name, trim_ows(value));
+                    None
+                }
+            }
+            _ => Some("bad header line"),
+        };
+        if self.bad_line.is_none() {
+            self.bad_line = problem;
+        }
+    }
+
+    fn note(&mut self, name: &[u8], value: &[u8]) {
+        if name.eq_ignore_ascii_case(b"content-length") {
+            if self.length.is_some() || self.bad_length {
+                self.duplicate_length = true;
+            }
+            // Digits only: a sign, a list or an overflow is malformed.
+            let parsed = value.iter().try_fold(None, |sum: Option<usize>, &byte| {
+                let digit = usize::from(byte.checked_sub(b'0').filter(|digit| *digit < 10)?);
+                sum.unwrap_or(0).checked_mul(10)?.checked_add(digit).map(Some)
+            });
+            match parsed.flatten() {
+                Some(length) => self.length = Some(length),
+                None => self.bad_length = true,
+            }
+        } else if name.eq_ignore_ascii_case(b"transfer-encoding") {
+            self.transfer_encoding = true;
+        } else if name.eq_ignore_ascii_case(b"connection") {
+            for token in value.split(|&byte| byte == b',').map(trim_ows) {
+                self.close |= token.eq_ignore_ascii_case(b"close");
+                self.keep_alive |= token.eq_ignore_ascii_case(b"keep-alive");
+            }
+        }
+    }
+}
+
+/// `bytes` without leading and trailing spaces and tabs.
+fn trim_ows(mut bytes: &[u8]) -> &[u8] {
+    while let [b' ' | b'\t', rest @ ..] = bytes {
+        bytes = rest;
+    }
+    while let [rest @ .., b' ' | b'\t'] = bytes {
+        bytes = rest;
+    }
+    bytes
 }
 
 /// Parses at most one request from the front of `buffer`.
@@ -275,25 +372,99 @@ pub enum Parsed {
 /// allow — an oversized declared body is rejected from its head alone,
 /// before any body byte arrives. A head longer than `max_head_bytes`
 /// (terminator included) is `HeadTooLarge` whether it arrived whole or
-/// in pieces, so arrival shape never decides the outcome.
-pub fn parse_request_bytes(buffer: &[u8], limits: &Limits) -> Result<Parsed, ReadOutcome> {
-    let head_end = find_head_end(buffer);
-    if head_end.unwrap_or(buffer.len()) > limits.max_head_bytes {
-        return Err(ReadOutcome::HeadTooLarge);
+/// in pieces, so arrival shape never decides the outcome. The head is
+/// walked once, line by line: each line is checked as it is found, and
+/// the blank line that ends the head ends the walk.
+pub fn parse_request_bytes<'a>(
+    buffer: &'a [u8],
+    limits: &Limits,
+) -> Result<Parsed<'a>, ReadOutcome> {
+    // The head, terminator included, must fit in the first
+    // `max_head_bytes` bytes.
+    let window = buffer.get(..limits.max_head_bytes).unwrap_or(buffer);
+    let offset = |rest: &[u8]| window.len() - rest.len();
+    let mut framing = Framing::default();
+    let mut request_line = None;
+    let mut fields = 0..0;
+    let mut rest = window;
+    loop {
+        let Some(lf) = rest.iter().position(|&byte| byte == b'\n') else {
+            return if buffer.len() > limits.max_head_bytes {
+                Err(ReadOutcome::HeadTooLarge)
+            } else {
+                Ok(Parsed::NeedMore)
+            };
+        };
+        let (line, tail) = rest.split_at(lf);
+        let line_start = offset(rest);
+        rest = tail.get(1..).unwrap_or_default();
+        let Some(line) = line.strip_suffix(b"\r") else {
+            framing.bad_line = framing.bad_line.or(Some("bare LF in head"));
+            continue;
+        };
+        if line.is_empty() {
+            break;
+        }
+        if request_line.is_none() {
+            request_line = Some(line_start..line_start + line.len());
+            fields = offset(rest)..offset(rest);
+        } else {
+            framing.field(line);
+            // Up to the CRLF of the last field line.
+            fields.end = line_start + line.len();
+        }
     }
-    let Some(head_end) = head_end else {
+    let body_start = offset(rest);
+    let head = std::str::from_utf8(window.get(..body_start).unwrap_or_default())
+        .map_err(|_| ReadOutcome::Malformed("head is not UTF-8"))?;
+    let request_line = request_line.and_then(|line| str::get(head, line)).unwrap_or_default();
+    let (method, target, http_1_0) = parse_request_line(request_line)?;
+    if let Some(problem) = framing.bad_line {
+        return Err(ReadOutcome::Malformed(problem));
+    }
+    if framing.duplicate_length {
+        return Err(ReadOutcome::Malformed("duplicate content-length"));
+    }
+    if framing.bad_length {
+        return Err(ReadOutcome::Malformed("bad content-length"));
+    }
+    let length = framing.length.unwrap_or(0);
+    if length > limits.max_body_bytes {
+        return Err(ReadOutcome::BodyTooLarge { declared: length });
+    }
+    if framing.transfer_encoding {
+        return Err(ReadOutcome::Malformed("transfer-encoding not supported"));
+    }
+    let body_end =
+        body_start.checked_add(length).ok_or(ReadOutcome::Malformed("content-length overflow"))?;
+    let Some(body) = buffer.get(body_start..body_end) else {
         return Ok(Parsed::NeedMore);
     };
-    let head_bytes = buffer
-        .get(..head_end.saturating_sub(4))
-        .ok_or(ReadOutcome::Malformed("head boundary out of range"))?;
-    let head =
-        std::str::from_utf8(head_bytes).map_err(|_| ReadOutcome::Malformed("head is not UTF-8"))?;
-    let mut lines = head.split("\r\n");
-    let request_line = lines.next().unwrap_or_default();
-    let mut parts = request_line.split(' ');
+    let request = Request {
+        method,
+        target,
+        fields: str::get(head, fields).unwrap_or_default(),
+        body,
+        http_1_0,
+        keep_alive: !framing.close && (!http_1_0 || framing.keep_alive),
+    };
+    Ok(Parsed::Request { request, consumed: body_end })
+}
+
+/// Splits a request line into method, target and version: a token, a
+/// target without controls, and `HTTP/1.1` or `HTTP/1.0`, separated by
+/// single spaces.
+fn parse_request_line(line: &str) -> Result<(&str, &str, bool), ReadOutcome> {
+    let mut parts = line.split(' ');
     let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(t), Some(v), None) if !m.is_empty() && !t.is_empty() => (m, t, v),
+        (Some(m), Some(t), Some(v), None)
+            if !m.is_empty()
+                && m.bytes().all(is_tchar)
+                && !t.is_empty()
+                && !t.bytes().any(|byte| byte.is_ascii_control()) =>
+        {
+            (m, t, v)
+        }
         _ => return Err(ReadOutcome::Malformed("bad request line")),
     };
     let http_1_0 = match version {
@@ -301,46 +472,7 @@ pub fn parse_request_bytes(buffer: &[u8], limits: &Limits) -> Result<Parsed, Rea
         "HTTP/1.0" => true,
         _ => return Err(ReadOutcome::Malformed("unsupported HTTP version")),
     };
-    let mut headers = Vec::new();
-    for line in lines {
-        let Some((name, value)) = line.split_once(':') else {
-            return Err(ReadOutcome::Malformed("bad header line"));
-        };
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_owned()));
-    }
-    let mut request = Request {
-        method: method.to_owned(),
-        target: target.to_owned(),
-        headers,
-        body: Vec::new(),
-        http_1_0,
-    };
-    let mut lengths = request.headers.iter().filter(|(name, _)| name == "content-length");
-    let length = match (lengths.next(), lengths.next()) {
-        (None, _) => 0,
-        (Some(_), Some(_)) => return Err(ReadOutcome::Malformed("duplicate content-length")),
-        // Digits only: `usize::from_str` would also take a leading `+`.
-        (Some((_, text)), None) if text.bytes().all(|byte| byte.is_ascii_digit()) => {
-            text.parse::<usize>().map_err(|_| ReadOutcome::Malformed("bad content-length"))?
-        }
-        (Some(_), None) => return Err(ReadOutcome::Malformed("bad content-length")),
-    };
-    if length > limits.max_body_bytes {
-        return Err(ReadOutcome::BodyTooLarge { declared: length });
-    }
-    if request.header("transfer-encoding").is_some() {
-        return Err(ReadOutcome::Malformed("transfer-encoding not supported"));
-    }
-    let body_end =
-        head_end.checked_add(length).ok_or(ReadOutcome::Malformed("content-length overflow"))?;
-    if buffer.len() < body_end {
-        return Ok(Parsed::NeedMore);
-    }
-    request.body = buffer
-        .get(head_end..body_end)
-        .ok_or(ReadOutcome::Malformed("body shorter than content-length"))?
-        .to_vec();
-    Ok(Parsed::Request { request, consumed: body_end })
+    Ok((method, target, http_1_0))
 }
 
 /// A response under construction.
@@ -357,7 +489,16 @@ pub struct Response {
     pub content_type: &'static str,
 }
 
+/// The extra headers of a fresh response: none (a `Vec` allocates
+/// only once a header is added).
+const NO_HEADERS: Vec<(&'static str, String)> = Vec::new();
+
 impl Response {
+    /// A JSON response around a body already rendered into `body`.
+    pub(crate) fn json_rendered(status: u16, body: Vec<u8>) -> Response {
+        Response { status, headers: NO_HEADERS, body, content_type: "application/json" }
+    }
+
     /// A JSON response.
     #[must_use]
     pub fn json(status: u16, value: &crate::json::Json) -> Response {
@@ -391,16 +532,19 @@ impl Response {
     /// line) to `out`; the reactor's write queue splices large bodies in
     /// as their own vectored segment.
     pub(crate) fn encode_head_into(&self, out: &mut Vec<u8>, close: bool) {
-        // Writing into a Vec cannot fail.
-        let _ = write!(
-            out,
-            "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n",
-            self.status,
-            reason(self.status),
-            self.content_type,
-            self.body.len(),
-            if close { "close" } else { "keep-alive" },
-        );
+        out.extend_from_slice(b"HTTP/1.1 ");
+        write_digits(out, u64::from(self.status));
+        out.push(b' ');
+        out.extend_from_slice(reason(self.status).as_bytes());
+        out.extend_from_slice(b"\r\ncontent-type: ");
+        out.extend_from_slice(self.content_type.as_bytes());
+        out.extend_from_slice(b"\r\ncontent-length: ");
+        write_digits(out, size_to_u64(self.body.len()));
+        out.extend_from_slice(if close {
+            b"\r\nconnection: close\r\n".as_slice()
+        } else {
+            b"\r\nconnection: keep-alive\r\n".as_slice()
+        });
         for (name, value) in &self.headers {
             out.extend_from_slice(name.as_bytes());
             out.extend_from_slice(b": ");

@@ -9,16 +9,27 @@
 //! *bit-identical* to offline `twig estimate` values after the client
 //! parses them back.
 //!
-//! Every request body passes through this codec, so both directions
-//! copy in bulk. The parser sizes each decoded string once, from a scan
-//! to its closing quote (unescaping never lengthens text), then copies
-//! each run that needs no unescaping with one `push_str`. A run ends at
-//! `"`, `\` or a raw control byte, all ASCII, so both of its ends are
-//! char boundaries of the `&str` input and no character is validated
-//! twice. The serializer copies unescaped runs the same way, sizes its
-//! output from a walk of the value, and writes numbers and `\u`
-//! escapes with `write!` straight into the output.
+//! There is one grammar. It lays a document out as a `Tape`: a flat,
+//! preorder list of nodes that refer to the input by byte range, plus
+//! one buffer holding the text of the strings that had escapes. A tape
+//! is reusable — parsing clears it and keeps its capacity — so
+//! `/estimate` parses every body into its reactor's tape and reads it
+//! through a borrowed `View` without allocating. [`Json::parse`]
+//! parses into a per-thread tape and builds the owned [`Json`] from it
+//! with every string and container allocated once, at its exact size.
+//!
+//! Each string is scanned once. A string without escapes is a range of
+//! the input; one with escapes is decoded into the tape's buffer while
+//! it is scanned. Copies go by runs: a run ends at `"`, `\` or a raw
+//! control byte, all ASCII, so both of its ends are char boundaries of
+//! the `&str` input and no character is validated twice.
+//!
+//! The writers (`write_str`, `write_num`, `write_digits`) append to
+//! a `String` or a byte buffer alike. `/estimate` writes its response
+//! with them straight into a reused buffer, and [`Json::render`] is the
+//! same writers walking a value, so both produce the same bytes.
 
+use std::cell::RefCell;
 use std::fmt::{self, Write as _};
 
 /// A JSON value.
@@ -60,18 +71,32 @@ impl std::error::Error for JsonError {}
 /// parser is recursive and the input is attacker-controlled).
 const MAX_DEPTH: usize = 64;
 
+/// Capacity a thread's tape keeps between [`Json::parse`] calls (nodes,
+/// and bytes of decoded text); a tape one large document grew past it
+/// is released.
+const KEEP_CAPACITY: usize = 4096;
+
+thread_local! {
+    static TAPE: RefCell<Tape> = RefCell::new(Tape::default());
+}
+
 impl Json {
     /// Parses `text` as a single JSON value (trailing whitespace allowed,
     /// trailing garbage rejected).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut parser = Parser { text, bytes: text.as_bytes(), at: 0 };
-        parser.skip_ws();
-        let value = parser.value(0)?;
-        parser.skip_ws();
-        if parser.at != parser.bytes.len() {
-            return Err(parser.err("trailing characters after value"));
-        }
-        Ok(value)
+        TAPE.with(|cell| match cell.try_borrow_mut() {
+            Ok(mut tape) => {
+                let value = tape.parse(text).map(View::to_json);
+                if tape.nodes.capacity() > KEEP_CAPACITY
+                    || tape.unescaped.capacity() > KEEP_CAPACITY
+                {
+                    *tape = Tape::default();
+                }
+                value
+            }
+            // Re-entered on this thread: parse on a fresh tape.
+            Err(_) => Tape::default().parse(text).map(View::to_json),
+        })
     }
 
     /// Object member lookup; `None` for missing keys and non-objects.
@@ -150,44 +175,93 @@ fn rendered_len_guess(value: &Json) -> usize {
     }
 }
 
-fn render_into(value: &Json, out: &mut String) {
+/// Where rendered JSON goes: a `String`, or the byte buffer a response
+/// is written into.
+pub(crate) trait Out {
+    /// Appends `text`.
+    fn put(&mut self, text: &str);
+}
+
+impl Out for String {
+    fn put(&mut self, text: &str) {
+        self.push_str(text);
+    }
+}
+
+impl Out for Vec<u8> {
+    fn put(&mut self, text: &str) {
+        self.extend_from_slice(text.as_bytes());
+    }
+}
+
+/// `fmt` machinery writing through an [`Out`] (no intermediate string).
+struct Fmt<'o, O: Out>(&'o mut O);
+
+impl<O: Out> fmt::Write for Fmt<'_, O> {
+    fn write_str(&mut self, text: &str) -> fmt::Result {
+        self.0.put(text);
+        Ok(())
+    }
+}
+
+fn render_into<O: Out>(value: &Json, out: &mut O) {
     match value {
-        Json::Null => out.push_str("null"),
-        Json::Bool(true) => out.push_str("true"),
-        Json::Bool(false) => out.push_str("false"),
-        Json::Num(n) => {
-            if n.is_finite() {
-                // Display prints the shortest round-tripping decimal.
-                // Writing into a String cannot fail.
-                let _ = write!(out, "{n}");
-            } else {
-                out.push_str("null");
-            }
-        }
-        Json::Str(s) => escape_into(s, out),
+        Json::Null => out.put("null"),
+        Json::Bool(true) => out.put("true"),
+        Json::Bool(false) => out.put("false"),
+        Json::Num(n) => write_num(out, *n),
+        Json::Str(s) => write_str(out, s),
         Json::Arr(items) => {
-            out.push('[');
+            out.put("[");
             for (index, item) in items.iter().enumerate() {
                 if index > 0 {
-                    out.push(',');
+                    out.put(",");
                 }
                 render_into(item, out);
             }
-            out.push(']');
+            out.put("]");
         }
         Json::Obj(members) => {
-            out.push('{');
+            out.put("{");
             for (index, (key, member)) in members.iter().enumerate() {
                 if index > 0 {
-                    out.push(',');
+                    out.put(",");
                 }
-                escape_into(key, out);
-                out.push(':');
+                write_str(out, key);
+                out.put(":");
                 render_into(member, out);
             }
-            out.push('}');
+            out.put("}");
         }
     }
+}
+
+/// Appends `n` as `Json::Num(n)` renders: the shortest decimal that
+/// round-trips (`Display` never switches to exponent form), or `null`
+/// when `n` is not finite.
+pub(crate) fn write_num<O: Out>(out: &mut O, n: f64) {
+    if n.is_finite() {
+        // Writing through `Fmt` cannot fail.
+        let _ = write!(Fmt(out), "{n}");
+    } else {
+        out.put("null");
+    }
+}
+
+/// Appends the decimal digits of `value`.
+pub(crate) fn write_digits<O: Out>(out: &mut O, mut value: u64) {
+    // Filled from the right; the zeros left of the last digit written
+    // are trimmed (twenty digits hold `u64::MAX`).
+    let mut digits = [b'0'; 20];
+    for slot in digits.iter_mut().rev() {
+        *slot = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    let text = std::str::from_utf8(&digits).unwrap_or_default().trim_start_matches('0');
+    out.put(if text.is_empty() { "0" } else { text });
 }
 
 /// Bytes a JSON string must escape: `"`, `\` and control bytes. All are
@@ -197,8 +271,9 @@ fn must_escape(byte: u8) -> bool {
     byte == b'"' || byte == b'\\' || byte < 0x20
 }
 
-fn escape_into(s: &str, out: &mut String) {
-    out.push('"');
+/// Appends `s` as a JSON string literal.
+pub(crate) fn write_str<O: Out>(out: &mut O, s: &str) {
+    out.put("\"");
     // `str::get` is called by path so the call-graph analyzers do not
     // read it as `Json::get`.
     let mut run = 0;
@@ -206,31 +281,202 @@ fn escape_into(s: &str, out: &mut String) {
         if !must_escape(byte) {
             continue;
         }
-        out.push_str(str::get(s, run..at).unwrap_or_default());
+        out.put(str::get(s, run..at).unwrap_or_default());
         match byte {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            b'\n' => out.push_str("\\n"),
-            b'\r' => out.push_str("\\r"),
-            b'\t' => out.push_str("\\t"),
-            // Writing into a String cannot fail.
+            b'"' => out.put("\\\""),
+            b'\\' => out.put("\\\\"),
+            b'\n' => out.put("\\n"),
+            b'\r' => out.put("\\r"),
+            b'\t' => out.put("\\t"),
+            // Writing through `Fmt` cannot fail.
             _ => {
-                let _ = write!(out, "\\u{byte:04x}");
+                let _ = write!(Fmt(out), "\\u{byte:04x}");
             }
         }
         run = at + 1;
     }
-    out.push_str(str::get(s, run..).unwrap_or_default());
-    out.push('"');
+    out.put(str::get(s, run..).unwrap_or_default());
+    out.put("\"");
 }
 
-struct Parser<'a> {
-    text: &'a str,
-    bytes: &'a [u8],
+/// One value of a [`Tape`], in preorder.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Node {
+    Null,
+    Bool(bool),
+    Num(f64),
+    /// A string: bytes `start..end` of the input, or of the tape's
+    /// unescaped text when the literal had escapes.
+    Str {
+        start: usize,
+        end: usize,
+        escaped: bool,
+    },
+    /// An array of `len` items; its descendants are the nodes before
+    /// `end`.
+    Arr {
+        len: usize,
+        end: usize,
+    },
+    /// An object of `len` members, each a key node then its value;
+    /// its descendants are the nodes before `end`.
+    Obj {
+        len: usize,
+        end: usize,
+    },
+}
+
+/// A parsed document, laid out flat and reusable across parses (see the
+/// module docs). Nodes refer to the input by byte range, so a tape holds
+/// no borrow between parses; a [`View`] pairs it with its input again.
+#[derive(Debug, Default)]
+pub(crate) struct Tape {
+    nodes: Vec<Node>,
+    /// Decoded text of the strings that had escapes, back to back.
+    unescaped: String,
+}
+
+impl Tape {
+    /// Parses `text` as a single JSON value (trailing whitespace allowed,
+    /// trailing garbage rejected) over this tape's buffers, and returns
+    /// a view of the value.
+    pub(crate) fn parse<'t>(&'t mut self, text: &'t str) -> Result<View<'t>, JsonError> {
+        self.nodes.clear();
+        self.unescaped.clear();
+        let mut parser = Parser { text, bytes: text.as_bytes(), at: 0, tape: self };
+        parser.skip_ws();
+        parser.value(0)?;
+        parser.skip_ws();
+        if parser.at != parser.bytes.len() {
+            return Err(parser.err("trailing characters after value"));
+        }
+        Ok(View { tape: self, text, node: 0 })
+    }
+
+    /// The node after `node` and all its descendants.
+    fn skip(&self, node: usize) -> usize {
+        match self.nodes.get(node) {
+            Some(Node::Arr { end, .. } | Node::Obj { end, .. }) => *end,
+            _ => node + 1,
+        }
+    }
+}
+
+/// One value of a parsed [`Tape`], borrowed together with its input.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct View<'t> {
+    tape: &'t Tape,
+    text: &'t str,
+    node: usize,
+}
+
+impl<'t> View<'t> {
+    fn at(self, node: usize) -> View<'t> {
+        View { node, ..self }
+    }
+
+    fn node(self) -> Option<Node> {
+        self.tape.nodes.get(self.node).copied()
+    }
+
+    /// The string payload, if this is a string.
+    pub(crate) fn as_str(self) -> Option<&'t str> {
+        match self.node()? {
+            Node::Str { start, end, escaped: false } => str::get(self.text, start..end),
+            Node::Str { start, end, escaped: true } => str::get(&self.tape.unescaped, start..end),
+            _ => None,
+        }
+    }
+
+    /// The first member named `key`, if this is an object.
+    pub(crate) fn member(self, key: &str) -> Option<View<'t>> {
+        let Node::Obj { end, .. } = self.node()? else { return None };
+        let mut node = self.node + 1;
+        while node < end {
+            let value = node + 1;
+            if self.at(node).as_str() == Some(key) {
+                return Some(self.at(value));
+            }
+            node = self.tape.skip(value);
+        }
+        None
+    }
+
+    /// The items, if this is an array.
+    pub(crate) fn items(self) -> Option<Items<'t>> {
+        match self.node()? {
+            Node::Arr { len, .. } => Some(Items { first: self.at(self.node + 1), left: len }),
+            _ => None,
+        }
+    }
+
+    /// An owned copy of the value: every string and container is
+    /// allocated once, at its exact size.
+    fn to_json(self) -> Json {
+        match self.node() {
+            None | Some(Node::Null) => Json::Null,
+            Some(Node::Bool(value)) => Json::Bool(value),
+            Some(Node::Num(value)) => Json::Num(value),
+            Some(Node::Str { .. }) => Json::Str(self.as_str().unwrap_or_default().to_owned()),
+            Some(Node::Arr { .. }) => match self.items() {
+                Some(items) => Json::Arr(items.map(View::to_json).collect()),
+                None => Json::Arr(Vec::new()),
+            },
+            Some(Node::Obj { len, .. }) => {
+                let mut members = Vec::with_capacity(len);
+                let mut key = self.at(self.node + 1);
+                for _ in 0..len {
+                    let value = key.at(key.node + 1);
+                    members.push((key.as_str().unwrap_or_default().to_owned(), value.to_json()));
+                    key = key.at(self.tape.skip(value.node));
+                }
+                Json::Obj(members)
+            }
+        }
+    }
+}
+
+/// The items of an array [`View`], in order.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Items<'t> {
+    first: View<'t>,
+    left: usize,
+}
+
+impl<'t> Items<'t> {
+    /// A one-item sequence of `view` itself.
+    pub(crate) fn single(view: View<'t>) -> Items<'t> {
+        Items { first: view, left: 1 }
+    }
+}
+
+impl<'t> Iterator for Items<'t> {
+    type Item = View<'t>;
+
+    fn next(&mut self) -> Option<View<'t>> {
+        self.left = self.left.checked_sub(1)?;
+        let item = self.first;
+        self.first = item.at(item.tape.skip(item.node));
+        Some(item)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Items<'_> {}
+
+/// The grammar: recursive descent over `text`, appending nodes to
+/// `tape`.
+struct Parser<'s, 'p> {
+    text: &'s str,
+    bytes: &'s [u8],
     at: usize,
+    tape: &'p mut Tape,
 }
 
-impl<'a> Parser<'a> {
+impl Parser<'_, '_> {
     fn err(&self, message: &'static str) -> JsonError {
         JsonError { at: self.at, message }
     }
@@ -254,7 +500,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn eat_literal(&mut self, literal: &str, value: Json) -> Result<Json, JsonError> {
+    fn eat_literal(&mut self, literal: &str, value: Node) -> Result<Node, JsonError> {
         let end = self.at + literal.len();
         if self.bytes.get(self.at..end) == Some(literal.as_bytes()) {
             self.at = end;
@@ -264,130 +510,162 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
+    fn value(&mut self, depth: usize) -> Result<(), JsonError> {
         if depth > MAX_DEPTH {
             return Err(self.err("nesting too deep"));
         }
-        match self.peek() {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b't') => self.eat_literal("true", Json::Bool(true)),
-            Some(b'f') => self.eat_literal("false", Json::Bool(false)),
-            Some(b'n') => self.eat_literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(_) => Err(self.err("unexpected character")),
-            None => Err(self.err("unexpected end of input")),
+        let node = match self.peek() {
+            Some(b'{') => return self.object(depth),
+            Some(b'[') => return self.array(depth),
+            Some(b'"') => self.string()?,
+            Some(b't') => self.eat_literal("true", Node::Bool(true))?,
+            Some(b'f') => self.eat_literal("false", Node::Bool(false))?,
+            Some(b'n') => self.eat_literal("null", Node::Null)?,
+            Some(b'-' | b'0'..=b'9') => self.number()?,
+            Some(_) => return Err(self.err("unexpected character")),
+            None => return Err(self.err("unexpected end of input")),
+        };
+        self.tape.nodes.push(node);
+        Ok(())
+    }
+
+    /// Pushes a container's node, to be completed by [`Parser::close`].
+    fn open(&mut self, node: Node) -> usize {
+        self.tape.nodes.push(node);
+        self.tape.nodes.len() - 1
+    }
+
+    /// Completes the container node at `at` with its size and extent.
+    fn close(&mut self, at: usize, len: usize) {
+        let end = self.tape.nodes.len();
+        if let Some(Node::Arr { len: size, end: extent } | Node::Obj { len: size, end: extent }) =
+            self.tape.nodes.get_mut(at)
+        {
+            (*size, *extent) = (len, end);
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
+    fn object(&mut self, depth: usize) -> Result<(), JsonError> {
         self.eat(b'{', "expected '{'")?;
-        let mut members = Vec::new();
+        let at = self.open(Node::Obj { len: 0, end: 0 });
+        let mut len = 0;
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.at += 1;
-            return Ok(Json::Obj(members));
+            self.close(at, len);
+            return Ok(());
         }
         loop {
             self.skip_ws();
             let key = self.string()?;
+            self.tape.nodes.push(key);
             self.skip_ws();
             self.eat(b':', "expected ':' after object key")?;
             self.skip_ws();
-            let value = self.value(depth + 1)?;
-            members.push((key, value));
+            self.value(depth + 1)?;
+            len += 1;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.at += 1,
                 Some(b'}') => {
                     self.at += 1;
-                    return Ok(Json::Obj(members));
+                    self.close(at, len);
+                    return Ok(());
                 }
                 _ => return Err(self.err("expected ',' or '}' in object")),
             }
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
+    fn array(&mut self, depth: usize) -> Result<(), JsonError> {
         self.eat(b'[', "expected '['")?;
-        let mut items = Vec::new();
+        let at = self.open(Node::Arr { len: 0, end: 0 });
+        let mut len = 0;
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.at += 1;
-            return Ok(Json::Arr(items));
+            self.close(at, len);
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            items.push(self.value(depth + 1)?);
+            self.value(depth + 1)?;
+            len += 1;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.at += 1,
                 Some(b']') => {
                     self.at += 1;
-                    return Ok(Json::Arr(items));
+                    self.close(at, len);
+                    return Ok(());
                 }
                 _ => return Err(self.err("expected ',' or ']' in array")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// Moves the cursor past the run of bytes that need no unescaping
+    /// and returns where the run started.
+    fn run(&mut self) -> usize {
+        let run = self.at;
+        let rest = self.bytes.get(run..).unwrap_or_default();
+        self.at += rest.iter().position(|&byte| must_escape(byte)).unwrap_or(rest.len());
+        run
+    }
+
+    fn string(&mut self) -> Result<Node, JsonError> {
         self.eat(b'"', "expected string")?;
-        let mut out = String::with_capacity(self.string_len_bound());
+        let start = self.run();
+        if self.peek() == Some(b'"') {
+            let end = self.at;
+            self.at += 1;
+            return Ok(Node::Str { start, end, escaped: false });
+        }
+        // Escapes: decode into the tape's buffer, run by run. A run
+        // starts after an ASCII byte and ends at an escaped byte or the
+        // end of input, so it is a valid `&str` slice.
+        let decoded = self.tape.unescaped.len();
+        let mut run = start;
         loop {
-            let run = self.at;
-            let rest = self.bytes.get(run..).unwrap_or_default();
-            self.at += rest.iter().position(|&byte| must_escape(byte)).unwrap_or(rest.len());
-            // The run starts after an ASCII byte and ends at an escaped
-            // byte or the end of input, so it is a valid `&str` slice.
-            out.push_str(self.text.get(run..self.at).unwrap_or_default());
+            self.tape.unescaped.push_str(str::get(self.text, run..self.at).unwrap_or_default());
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.at += 1;
-                    return Ok(out);
+                    let end = self.tape.unescaped.len();
+                    return Ok(Node::Str { start: decoded, end, escaped: true });
                 }
                 Some(b'\\') => {
                     self.at += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.at += 1;
-                            let c = self.unicode_escape()?;
-                            out.push(c);
-                            continue;
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                    self.at += 1;
+                    let c = self.escape()?;
+                    self.tape.unescaped.push(c);
                 }
                 Some(_) => return Err(self.err("raw control character in string")),
             }
+            run = self.run();
         }
     }
 
-    /// Bytes from the cursor to the closing quote of the string it is
-    /// in (or to a raw control byte or the end of input). Unescaping
-    /// never lengthens text, so this bounds the decoded length.
-    fn string_len_bound(&self) -> usize {
-        let rest = self.bytes.get(self.at..).unwrap_or_default();
-        let mut len = 0;
-        while let Some(&byte) = rest.get(len) {
-            match byte {
-                b'"' | 0..=0x1f => break,
-                b'\\' => len += 2,
-                _ => len += 1,
+    /// Decodes the escape whose backslash is just behind the cursor and
+    /// moves the cursor past it.
+    fn escape(&mut self) -> Result<char, JsonError> {
+        let c = match self.peek() {
+            Some(b'u') => {
+                self.at += 1;
+                return self.unicode_escape();
             }
-        }
-        len.min(rest.len())
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            _ => return Err(self.err("invalid escape")),
+        };
+        self.at += 1;
+        Ok(c)
     }
 
     /// Parses the 4 hex digits after `\u` (and a following low surrogate
@@ -430,7 +708,7 @@ impl<'a> Parser<'a> {
         Ok(code)
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    fn number(&mut self) -> Result<Node, JsonError> {
         let start = self.at;
         if self.peek() == Some(b'-') {
             self.at += 1;
@@ -470,11 +748,10 @@ impl<'a> Parser<'a> {
                 return Err(self.err("expected exponent digits"));
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.at])
-            .map_err(|_| self.err("invalid number"))?;
+        let text = str::get(self.text, start..self.at).ok_or_else(|| self.err("invalid number"))?;
         let value: f64 = text.parse().map_err(|_| self.err("invalid number"))?;
         if value.is_finite() {
-            Ok(Json::Num(value))
+            Ok(Node::Num(value))
         } else {
             Err(self.err("number out of range"))
         }
@@ -686,6 +963,39 @@ mod tests {
         let bomb = "[".repeat(10_000) + &"]".repeat(10_000);
         let deepest = JsonError { at: MAX_DEPTH + 1, message: "nesting too deep" };
         assert_eq!(Json::parse(&bomb), Err(deepest));
+    }
+
+    #[test]
+    fn a_reused_tape_views_what_parse_builds() {
+        let mut rng = SplitMix64::new(0x7461_7065);
+        let mut tape = Tape::default();
+        for _ in 0..500 {
+            let texts: Vec<String> =
+                (0..rng.next_below(5)).map(|_| random_text(&mut rng)).collect();
+            let queries = Json::Arr(texts.iter().map(|text| Json::Str(text.clone())).collect());
+            let name = random_text(&mut rng);
+            let document = Json::Obj(vec![
+                ("summary".into(), Json::Str(name.clone())),
+                ("n".into(), Json::Arr(vec![Json::Num(1.5), Json::Obj(vec![]), Json::Null])),
+                ("queries".into(), queries),
+                // A later duplicate never shadows the first member.
+                ("summary".into(), Json::str("shadowed")),
+            ]);
+            let literal = random_literal(&name, &mut rng);
+            let rendered =
+                document.render().replacen(&Json::Str(name.clone()).render(), &literal, 1);
+            assert_eq!(Json::parse(&rendered), Ok(document.clone()), "{rendered}");
+            let root = tape.parse(&rendered).unwrap();
+            assert_eq!(root.member("summary").and_then(View::as_str), Some(name.as_str()));
+            assert_eq!(root.member("missing").map(View::as_str), None);
+            assert_eq!(root.member("n").and_then(View::items).map(|items| items.len()), Some(3));
+            let items = root.member("queries").and_then(View::items).unwrap();
+            assert_eq!(items.len(), texts.len());
+            let viewed: Vec<&str> = items.map(|item| item.as_str().unwrap()).collect();
+            assert_eq!(viewed, texts);
+            assert_eq!(root.as_str(), None);
+            assert!(root.items().is_none());
+        }
     }
 
     #[test]

@@ -16,21 +16,29 @@
 //! computed on. Keys embed the registry generation: a reload bumps the
 //! generation, so a plan can never serve a swapped summary — the reload
 //! handler additionally clears the cache to release memory. The cache
-//! is sharded (one mutex per shard, key-hashed) so workers rarely
-//! contend, and bounded per shard with exact least-recently-used
+//! is sharded (a shard per reactor, each behind its own mutex) so
+//! reactors rarely contend, and bounded per shard with exact least-recently-used
 //! eviction in O(1): each shard keeps its entries in a slab threaded on
 //! a doubly linked recency list by `u32` slot index, so a hit relinks
 //! its entry to the front and an insert into a full shard reuses the
 //! tail's slot without scanning. The key's bytes are allocated once and
 //! shared between the slab entry and the key-to-slot map.
+//!
+//! A hit allocates nothing. A batch writes its keys' `summary@generation:`
+//! once into a reused buffer and swaps only the query text behind it,
+//! pushing bytes rather than formatting. With one shard (one reactor)
+//! the shard pick hashes nothing; with several it takes the middle bits
+//! of the key's word-at-a-time FxHash.
 
-use std::fmt::Write as _;
+use std::hash::{Hash as _, Hasher as _};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use twig_core::QueryPlan;
 use twig_tree::Twig;
 use twig_util::cast::size_to_u64;
-use twig_util::FxHashMap;
+use twig_util::{FxHashMap, FxHasher};
+
+use crate::json::write_digits;
 
 /// Plans a server caches across `/estimate` requests. The benchmark's
 /// traffic is sized against it: 256 hot twigs all fit, ~18k cold ones
@@ -145,19 +153,25 @@ impl PlanCache {
         }
     }
 
-    /// Writes the cache key — registry name, reload generation, raw
-    /// query text — over `buf`. The generation makes reloads
-    /// self-invalidating; a buffer reused across a batch keeps a hit
-    /// from allocating.
-    pub(crate) fn key<'k>(
-        buf: &'k mut String,
-        summary: &str,
-        generation: u64,
-        query_text: &str,
-    ) -> &'k str {
+    /// Writes the part of a batch's cache keys before the query text —
+    /// registry name, `@`, reload generation, `:` — over `buf`, and
+    /// returns its length for [`PlanCache::key`]. The generation makes
+    /// reloads self-invalidating; a buffer reused across requests keeps
+    /// a hit from allocating.
+    pub(crate) fn key_prefix(buf: &mut String, summary: &str, generation: u64) -> usize {
         buf.clear();
-        // Writing to a `String` cannot fail.
-        let _ = write!(buf, "{summary}@{generation}:{query_text}");
+        buf.push_str(summary);
+        buf.push('@');
+        write_digits(buf, generation);
+        buf.push(':');
+        buf.len()
+    }
+
+    /// The cache key of `query_text`: the first `prefix` bytes of `buf`
+    /// (see [`PlanCache::key_prefix`]) followed by the raw text.
+    pub(crate) fn key<'k>(buf: &'k mut String, prefix: usize, query_text: &str) -> &'k str {
+        buf.truncate(prefix);
+        buf.push_str(query_text);
         buf
     }
 
@@ -220,13 +234,16 @@ impl PlanCache {
 
     /// The shard `key` hashes to.
     fn shard_index(&self, key: &str) -> usize {
-        // FNV-1a over the key bytes; any stable spread works here.
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in key.bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x100_0000_01b3);
+        let shards = size_to_u64(self.shards.len());
+        if shards == 1 {
+            return 0;
         }
-        (hash % size_to_u64(self.shards.len())) as usize
+        // The shard's map hashes the key the same way and uses the low
+        // bits for its bucket and the top seven for its tags, so the
+        // shard comes from bits in between.
+        let mut hasher = FxHasher::default();
+        key.hash(&mut hasher);
+        ((hasher.finish() >> 32) % shards) as usize
     }
 
     fn shard(&self, key: &str) -> &Mutex<Shard> {
@@ -273,12 +290,18 @@ mod tests {
     fn generation_in_key_separates_entries() {
         let cache = PlanCache::new(4, 64);
         let mut buf = String::new();
-        cache.insert(PlanCache::key(&mut buf, "default", 1, "a(b)"), twig());
+        let prefix = PlanCache::key_prefix(&mut buf, "default", 1);
+        cache.insert(PlanCache::key(&mut buf, prefix, "a(b)"), twig());
         assert_eq!(buf, "default@1:a(b)");
+        // The prefix survives a key written over it.
+        assert_eq!(PlanCache::key(&mut buf, prefix, "c"), "default@1:c");
+        let prefix = PlanCache::key_prefix(&mut buf, "default", 2);
         assert!(
-            cache.lookup(PlanCache::key(&mut buf, "default", 2, "a(b)")).is_none(),
+            cache.lookup(PlanCache::key(&mut buf, prefix, "a(b)")).is_none(),
             "a reload generation must never hit old plans"
         );
+        let prefix = PlanCache::key_prefix(&mut buf, "d\u{e9}f", u64::MAX);
+        assert_eq!(PlanCache::key(&mut buf, prefix, "x"), "d\u{e9}f@18446744073709551615:x");
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::http::Response;
 /// larger ones ride out-of-line as their own vectored segment. 8 KiB
 /// keeps typical estimate responses inline (one segment, one write)
 /// while big batch and `/metrics` bodies skip the copy.
-const INLINE_BODY_MAX: usize = 8 * 1024;
+pub(crate) const INLINE_BODY_MAX: usize = 8 * 1024;
 
 /// Most segments a single `write_vectored` submits.
 pub(crate) const MAX_IOVECS: usize = 16;
@@ -119,13 +119,16 @@ impl WriteQueue {
     }
 
     /// Serializes `response` onto the queue. Consumes the response so a
-    /// large body becomes a zero-copy segment.
-    pub(crate) fn push(&mut self, response: Response, close: bool) {
+    /// large body becomes a zero-copy segment; a body copied inline is
+    /// handed back, so its buffer can serve the next response.
+    pub(crate) fn push(&mut self, response: Response, close: bool) -> Option<Vec<u8>> {
         response.encode_head_into(&mut self.buf, close);
         if response.body.len() > INLINE_BODY_MAX {
             self.tails.push_back(Tail { at: self.buf.len(), body: response.body, written: 0 });
+            None
         } else {
             self.buf.extend_from_slice(&response.body);
+            Some(response.body)
         }
     }
 

@@ -40,7 +40,7 @@ mod linux {
     use crate::http::{parse_request_bytes, Limits, Parsed, ReadOutcome};
     use crate::server::{
         limits_for, process_request, read_error_response, reject_connection, retry_after_secs,
-        Dispatched, ServerState,
+        Dispatched, HandlerScratch, ServerState,
     };
 
     /// Epoll token for the listener shard (connection tokens encode a
@@ -158,6 +158,28 @@ mod linux {
         Closed,
     }
 
+    /// Where framing the receive buffer stopped.
+    #[derive(PartialEq, Eq)]
+    enum Framed {
+        /// Every complete request was dispatched; the rest needs bytes.
+        Drained,
+        /// Dispatch paused (write queue at its high-water mark, or a
+        /// close queued) with complete requests possibly still buffered.
+        Paused,
+        /// The connection closed.
+        Closed,
+    }
+
+    /// Why the framing loop of `process_rbuf` ended.
+    enum Stop {
+        Drained,
+        Paused,
+        /// An injected dispatch fault: drop the connection unanswered.
+        Drop,
+        /// A request could not be read.
+        Failed(ReadOutcome),
+    }
+
     /// Connection slab: slot reuse with generations, so a stale epoll
     /// event or wheel entry for a recycled slot is provably stale.
     struct Slab {
@@ -235,6 +257,8 @@ mod linux {
         events: Vec<sys::EpollEvent>,
         due: Vec<WheelKey>,
         scratch: Vec<u8>,
+        /// The request handlers' reusable buffers.
+        handler_scratch: HandlerScratch,
         max_conns: usize,
         /// Consecutive saturation rejections on this reactor with no
         /// admission in between; reset on admission and on drain.
@@ -274,6 +298,7 @@ mod linux {
                 events: Vec::with_capacity(EVENT_CAPACITY),
                 due: Vec::new(),
                 scratch: vec![0u8; READ_CHUNK],
+                handler_scratch: HandlerScratch::default(),
                 max_conns: max_conns.max(1),
                 streak: 0,
                 draining: false,
@@ -642,7 +667,8 @@ mod linux {
         /// possible without waiting on the socket.
         fn pump(&mut self, slot: usize) {
             loop {
-                if self.process_rbuf(slot) == Flow::Closed {
+                let framed = self.process_rbuf(slot);
+                if framed == Framed::Closed {
                     return;
                 }
                 if self.flush(slot) == Flow::Closed {
@@ -666,73 +692,82 @@ mod linux {
                     }
                     continue;
                 }
-                // Anything but NeedMore means at least one more request
-                // (or an error) is ready to process this round.
-                if conn.rbuf.is_empty()
-                    || matches!(parse_request_bytes(&conn.rbuf, &self.limits), Ok(Parsed::NeedMore))
-                {
+                // Framing already found the unframed tail incomplete.
+                if framed == Framed::Drained {
                     break;
                 }
             }
             self.settle(slot);
         }
 
-        /// Frames and dispatches requests out of the receive buffer.
-        fn process_rbuf(&mut self, slot: usize) -> Flow {
+        /// Frames and dispatches requests out of the receive buffer. The
+        /// requests are framed by offset, borrowing from the buffer, and
+        /// the bytes they consumed are drained once at the end.
+        fn process_rbuf(&mut self, slot: usize) -> Framed {
+            let Reactor { slab, state, limits, handler_scratch, .. } = self;
+            let Some(conn) = slab.get_mut(slot) else { return Framed::Closed };
+            let mut unframed: &[u8] = &conn.rbuf;
             let mut dispatched = 0u64;
-            loop {
-                let Some(conn) = self.slab.get_mut(slot) else { return Flow::Closed };
+            let stop = loop {
                 if conn.close_after_flush || conn.wq.pending() >= WRITE_HIGH_WATER {
-                    break;
+                    break Stop::Paused;
                 }
-                match parse_request_bytes(&conn.rbuf, &self.limits) {
+                match parse_request_bytes(unframed, limits) {
                     Ok(Parsed::NeedMore) => {
-                        if conn.peer_closed && !conn.rbuf.is_empty() {
+                        if conn.peer_closed && !unframed.is_empty() {
                             // EOF mid-request.
-                            let what = if crate::http::head_complete(&conn.rbuf) {
+                            let what = if crate::http::head_complete(unframed) {
                                 "connection closed mid-body"
                             } else {
                                 "connection closed mid-head"
                             };
-                            return self.fail_read(slot, &ReadOutcome::Malformed(what));
+                            break Stop::Failed(ReadOutcome::Malformed(what));
                         }
-                        break;
+                        break Stop::Drained;
                     }
                     Ok(Parsed::Request { request, consumed }) => {
-                        conn.rbuf.drain(..consumed);
+                        unframed = unframed.get(consumed..).unwrap_or_default();
                         if dispatched > 0 {
-                            self.state.metrics.pipelined_requests_total.inc();
+                            state.metrics.pipelined_requests_total.inc();
                         }
                         dispatched += 1;
-                        match process_request(&self.state, &request) {
-                            Dispatched::Drop => {
-                                // Injected dispatch fault: abandon the
-                                // connection, response unsent — the peer
-                                // observes a closed socket.
-                                self.close(slot);
-                                return Flow::Closed;
-                            }
+                        match process_request(state, &request, handler_scratch) {
+                            // Injected dispatch fault: abandon the
+                            // connection, response unsent — the peer
+                            // observes a closed socket.
+                            Dispatched::Drop => break Stop::Drop,
                             Dispatched::Respond(response) => {
                                 // Evaluated after dispatch: the handler
                                 // itself may have requested shutdown
                                 // (`/admin/shutdown`), and drain policy
                                 // closes every response.
-                                let keep_alive =
-                                    request.keep_alive() && !self.state.shutting_down();
-                                let Some(conn) = self.slab.get_mut(slot) else {
-                                    return Flow::Closed;
-                                };
-                                conn.wq.push(response, !keep_alive);
+                                let keep_alive = request.keep_alive() && !state.shutting_down();
+                                if let Some(body) = conn.wq.push(response, !keep_alive) {
+                                    handler_scratch.recycle(body);
+                                }
                                 if !keep_alive {
                                     conn.close_after_flush = true;
                                 }
                             }
                         }
                     }
-                    Err(outcome) => return self.fail_read(slot, &outcome),
+                    Err(outcome) => break Stop::Failed(outcome),
                 }
+            };
+            let framed = conn.rbuf.len() - unframed.len();
+            conn.rbuf.drain(..framed);
+            match stop {
+                Stop::Drained => Framed::Drained,
+                Stop::Paused => Framed::Paused,
+                Stop::Drop => {
+                    self.close(slot);
+                    Framed::Closed
+                }
+                Stop::Failed(outcome) => match self.fail_read(slot, &outcome) {
+                    Flow::Live => Framed::Drained,
+                    Flow::Closed => Framed::Closed,
+                },
             }
-            Flow::Live
         }
 
         /// Answers a failed request read: typed error response where one

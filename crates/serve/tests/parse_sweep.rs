@@ -7,10 +7,12 @@
 //! random chunkings, the outcome is identical to parsing the complete
 //! buffer in one shot — `NeedMore` until enough bytes exist, then the
 //! same request (or the same typed error) regardless of arrival shape.
-//! The malformed-input corpus reuses the PR 3 regression set (bad
+//! The malformed-input corpus reuses the earlier regression set (bad
 //! request lines, bad/overflowing content-length, transfer-encoding,
 //! oversized declarations) plus the smuggling shapes of `Content-Length`
-//! (a signed value, two headers).
+//! (a signed value, two headers) and of field lines (whitespace before
+//! the colon, an empty or non-token name, obs-fold, and CR, LF or NUL
+//! inside a value).
 
 use std::time::Duration;
 
@@ -75,6 +77,17 @@ const CANNED: &[Canned] = &[
         host: None,
         keep_alive: true,
         body: b"",
+    },
+    // Field names match in any case; values lose surrounding spaces and
+    // tabs.
+    Canned {
+        raw: b"POST /estimate HTTP/1.1\r\nHOST:\t t \r\nCONTENT-LENGTH:2\r\n\r\n{}",
+        method: "POST",
+        target: "/estimate",
+        path: "/estimate",
+        host: Some("t"),
+        keep_alive: true,
+        body: b"{}",
     },
     Canned {
         raw: b"POST /estimate?x=1 HTTP/1.1\r\nHost: twig-serve\r\ncontent-length: 7\r\nConnection: Close\r\n\r\n{\"a\":1}",
@@ -190,7 +203,11 @@ fn seeded_chunk_sweep_reassembles_long_pipelines() {
                 match parse_request_bytes(&buffer, &limits).expect("valid pipeline") {
                     Parsed::NeedMore => break,
                     Parsed::Request { request, consumed } => {
-                        seen.push((request.method.clone(), request.target.clone(), request.body));
+                        seen.push((
+                            request.method.to_owned(),
+                            request.target.to_owned(),
+                            request.body.to_vec(),
+                        ));
                         buffer.drain(..consumed);
                     }
                 }
@@ -232,6 +249,35 @@ fn malformed_corpus_errors_are_split_stable() {
         (b"POST / HTTP/1.1\r\ncontent-length: 2\r\ncontent-length: 5\r\n\r\nabcde", |e| {
             matches!(e, ReadOutcome::Malformed(_))
         }),
+        // Strict field lines (RFC 9112 §5.1–5.2, RFC 9110 §5.1/§5.5).
+        // Whitespace before the colon: a lenient hop reads the length.
+        (b"POST / HTTP/1.1\r\nContent-Length : 2\r\n\r\n{}", |e| {
+            matches!(e, ReadOutcome::Malformed(_))
+        }),
+        // An empty field name.
+        (b"GET / HTTP/1.1\r\n: x\r\n\r\n", |e| matches!(e, ReadOutcome::Malformed(_))),
+        // A name that is not a token.
+        (b"POST / HTTP/1.1\r\nContent Length: 2\r\n\r\n{}", |e| {
+            matches!(e, ReadOutcome::Malformed(_))
+        }),
+        // obs-fold: a lenient hop unfolds a `Content-Length`.
+        (b"POST / HTTP/1.1\r\nX-A: a\r\n Content-Length: 2\r\n\r\n{}", |e| {
+            matches!(e, ReadOutcome::Malformed(_))
+        }),
+        // A bare LF inside a value: a lenient hop frames an empty body
+        // and reads `{}` as the next request.
+        (b"POST / HTTP/1.1\r\nX-A: a\nContent-Length: 2\r\n\r\n{}", |e| {
+            matches!(e, ReadOutcome::Malformed(_))
+        }),
+        // A CR or a NUL inside a value.
+        (b"POST / HTTP/1.1\r\nX-A: a\rContent-Length: 2\r\n\r\n{}", |e| {
+            matches!(e, ReadOutcome::Malformed(_))
+        }),
+        (b"POST / HTTP/1.1\r\nX-A: a\0b\r\ncontent-length: 2\r\n\r\n{}", |e| {
+            matches!(e, ReadOutcome::Malformed(_))
+        }),
+        // A bare LF ending the request line.
+        (b"GET / HTTP/1.1\nhost: t\r\n\r\n", |e| matches!(e, ReadOutcome::Malformed(_))),
         // Declared body over the 64-byte limit: rejected from the head
         // alone, before any body byte.
         (b"POST / HTTP/1.1\r\ncontent-length: 999\r\n\r\n", |e| {

@@ -112,9 +112,19 @@ impl LogHistogram {
 
     /// Records one observation.
     pub fn record(&self, value: u64) {
-        self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
+        self.record_n(value, 1);
+    }
+
+    /// Records `n` observations of `value` at the cost of one: a batch
+    /// timed as a whole records its mean with its size as the count, so
+    /// `count` still counts items, not batches.
+    pub fn record_n(&self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.buckets[bucket_index(value)].fetch_add(n, Ordering::Relaxed);
+        self.count.fetch_add(n, Ordering::Relaxed);
+        self.sum.fetch_add(value.saturating_mul(n), Ordering::Relaxed);
     }
 
     /// A point-in-time copy of the histogram. Buckets are returned
@@ -227,6 +237,24 @@ mod tests {
         assert_eq!(snap.cumulative[29], 3);
         assert_eq!(snap.cumulative[30], 4);
         assert_eq!(snap.cumulative[LOG_BUCKETS - 1], 4);
+    }
+
+    #[test]
+    fn record_n_equals_n_records() {
+        let batched = LogHistogram::new();
+        let single = LogHistogram::new();
+        for (value, n) in [(0u64, 3u64), (5, 8), (1 << 30, 2), (7, 0)] {
+            batched.record_n(value, n);
+            for _ in 0..n {
+                single.record(value);
+            }
+        }
+        assert_eq!(batched.snapshot(), single.snapshot());
+        assert_eq!(batched.snapshot().count, 13);
+        // The sum saturates instead of wrapping.
+        let huge = LogHistogram::new();
+        huge.record_n(u64::MAX, 2);
+        assert_eq!(huge.snapshot().sum, u64::MAX);
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! Tracks values derived from taint *sources* — HTTP read buffers
 //! (`.read*(` into a buffer), deserialized frames (parameters of
-//! `Cst::from_bytes` / `Cst::read_from` / `Json::parse` / `Twig::parse`
-//! / `DataTree::from_xml`), and CLI/env input (`fs::read*`, `env::*`) —
+//! `Cst::from_bytes` / `Cst::read_from` / `Json::parse` / `Tape::parse`
+//! / `Twig::parse` / `DataTree::from_xml`), and CLI/env input
+//! (`fs::read*`, `env::*`) —
 //! into *sinks* where an attacker-controlled length or offset becomes a
 //! panic, wraparound, or unbounded allocation:
 //!
@@ -76,8 +77,14 @@ const EXT: u64 = 1 << 62;
 /// `::`-aligned suffixes of the qualified path, so the fixture tree's
 /// reconstructions (`xtask::Cst::from_bytes`) match the same rules as
 /// the real entry points (`core::Cst::from_bytes`).
-const ENTRY_SUFFIXES: &[&str] =
-    &["Cst::from_bytes", "Cst::read_from", "Twig::parse", "Json::parse", "DataTree::from_xml"];
+const ENTRY_SUFFIXES: &[&str] = &[
+    "Cst::from_bytes",
+    "Cst::read_from",
+    "Twig::parse",
+    "Json::parse",
+    "Tape::parse",
+    "DataTree::from_xml",
+];
 
 /// Path calls whose return value is external input.
 const SOURCE_PATHS: &[&str] =
