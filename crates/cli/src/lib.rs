@@ -10,6 +10,7 @@
 //! twig estimate --summary summary.cst --query 'book(author("Su"),year("1999"))'
 //! twig exact    --input corpus.xml    --query 'book(author("Su"))'
 //! twig workload --input corpus.xml --count 20 --kind positive
+//! twig eval     fig4a
 //! ```
 
 use std::fs;
@@ -20,6 +21,7 @@ use twig_datagen::{
     generate_dblp, generate_sprot, negative_query_candidates, positive_queries, trivial_queries,
     DblpConfig, SprotConfig, WorkloadConfig,
 };
+use twig_eval::{figures, Scale};
 use twig_exact::{count_occurrence, count_occurrence_ordered, count_presence};
 use twig_flat::{AnySummary, FlatCst};
 use twig_serve::{
@@ -43,6 +45,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
         "audit" => cmd_audit(&mut args, out),
         "workload" => cmd_workload(&mut args, out),
         "serve" => cmd_serve(&mut args, out),
+        "eval" => cmd_eval(&mut args, out),
         "help" | "--help" | "-h" => {
             writeln!(out, "{USAGE}").map_err(io_err)?;
             Ok(())
@@ -72,6 +75,9 @@ USAGE:
   twig serve    --summary [NAME=]FILE [--summary ...] [--addr HOST:PORT]
                 [--threads N] [--queue N] [--max-body-kb N] [--max-batch N]
                 [--state-dir DIR]          (flat .flt summaries only)
+  twig eval     FIGURE                    (table1 fig3 fig4a fig4b fig5a fig5b
+                fig6a fig6b fig7a fig7b occurrence ablation; TWIG_SCALE=small
+                for a smoke pass)
 
 Twig query syntax: labels are elements, quoted strings are value-prefix
 leaves, parentheses enclose children: book(author(\"Su\"),year(\"1999\")).
@@ -81,9 +87,11 @@ fn io_err(err: std::io::Error) -> String {
     format!("I/O error: {err}")
 }
 
-/// Minimal `--flag value` argument parser with leftover detection.
+/// Minimal `--flag value` argument parser with leftover detection. `eval`
+/// takes one bare operand, its figure name (`twig eval fig4a`).
 struct Arguments {
     command: String,
+    operand: Option<String>,
     pairs: Vec<(String, String)>,
 }
 
@@ -91,6 +99,12 @@ impl Arguments {
     fn parse(args: &[String]) -> Result<Self, String> {
         let Some((command, rest)) = args.split_first() else {
             return Err(format!("missing command\n{USAGE}"));
+        };
+        let (operand, rest) = match rest.split_first() {
+            Some((first, tail)) if command == "eval" && !first.starts_with("--") => {
+                (Some(first.clone()), tail)
+            }
+            _ => (None, rest),
         };
         let mut pairs = Vec::new();
         let mut iter = rest.iter();
@@ -108,7 +122,7 @@ impl Arguments {
             };
             pairs.push((name.to_owned(), value.clone()));
         }
-        Ok(Self { command: command.clone(), pairs })
+        Ok(Self { command: command.clone(), operand, pairs })
     }
 
     fn take(&mut self, name: &str) -> Option<String> {
@@ -480,6 +494,16 @@ fn cmd_workload(args: &mut Arguments, out: &mut dyn Write) -> Result<(), String>
     Ok(())
 }
 
+/// Prints one of the paper's figures (`twig_eval::figures`) at the scale
+/// the `TWIG_*` variables set.
+fn cmd_eval(args: &mut Arguments, out: &mut dyn Write) -> Result<(), String> {
+    let figure = args.operand.take().unwrap_or_default();
+    // A full-scale figure runs for minutes: refuse a stray flag first.
+    args.ensure_consumed()?;
+    let scale = Scale::from_env()?;
+    figures::render(&figure, &scale, out)
+}
+
 /// Boots the estimation server (`twig-serve`) over one or more stored
 /// flat summaries (an owned file fails to load; `twig pack` converts
 /// it) and blocks until it is shut down (`POST /admin/shutdown`).
@@ -764,6 +788,20 @@ mod tests {
 
         let err = run_capture(&["audit", "--summary", &summary]).unwrap_err();
         assert!(err.contains("violation"), "{err}");
+    }
+
+    #[test]
+    fn eval_prints_figure_transcripts() {
+        let table1 = run_capture(&["eval", "table1"]).expect("eval table1");
+        assert_eq!(table1, include_str!("../../eval/tests/golden/table1.txt"));
+        let err = run_capture(&["eval", "fig8"]).unwrap_err();
+        for name in figures::names() {
+            assert!(err.contains(name), "{err}");
+        }
+        assert!(run_capture(&["eval"]).unwrap_err().contains("expected one of: table1"));
+        let err = run_capture(&["eval", "table1", "--scale", "small"]).unwrap_err();
+        assert!(err.contains("unknown flag --scale"), "{err}");
+        assert!(run_capture(&["build", "table1"]).unwrap_err().contains("expected --flag"));
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! One function per paper table/figure (see DESIGN.md §5 for the index).
 //!
-//! Every function returns plain data rows; the `twig-bench` binaries
-//! format and print them. All experiments use occurrence counts as ground
-//! truth (the multiset problem, per Sec. 6.1).
+//! Every function returns plain data rows; [`crate::figures`] formats and
+//! prints them. All experiments use occurrence counts as ground truth
+//! (the multiset problem, per Sec. 6.1).
 
-use twig_core::{Algorithm, CountKind, SignatureFallback};
+use twig_core::{Algorithm, CountKind, Cst, CstConfig, SignatureFallback, SpaceBudget};
 use twig_util::stats::log10_floored;
 
 use crate::harness::{Corpus, Scale, Workload};
@@ -177,10 +177,12 @@ pub fn scaleup(scale: &Scale, sizes: &[usize], space: f64) -> Vec<(usize, Vec<Se
 }
 
 /// Fig. 7: negative queries, RMSE vs space, all algorithms. `fallback`
-/// selects the below-resolution behavior of the set-hash algorithms: the
-/// paper's literal `Zero` reproduces Fig. 7's "MOSH/MSH improve quickly
-/// and beat Greedy"; the default conditional-independence mode trades
-/// that for robustness on positive queries (see the ablation).
+/// selects the below-resolution behavior of the set-hash algorithms: with
+/// the paper's literal `Zero`, MOSH/MSH improve quickly with space (they
+/// beat Greedy on the SWISS-PROT-like corpus, not on the DBLP-like one;
+/// EXPERIMENTS.md, "Known deviations"); the default
+/// conditional-independence mode plateaus instead, trading that for
+/// robustness on positive queries.
 pub fn negative_experiment(
     corpus: &Corpus,
     scale: &Scale,
@@ -242,6 +244,48 @@ pub fn occurrence_validation(
         avg_relative_error(&workload.truths, &presence),
         avg_relative_error(&workload.truths, &occurrence),
     )
+}
+
+/// One summary in an ablation: its node count and MOSH's accuracy on the
+/// positive workload.
+#[derive(Debug, Clone, Copy)]
+pub struct AblationRow {
+    /// Nodes the summary kept within the budget.
+    pub nodes: usize,
+    /// Average relative error.
+    pub relative: f64,
+    /// `log10` of the average relative squared error.
+    pub log10_squared: f64,
+}
+
+/// Ablations (DESIGN.md §6) at a fixed budget of `bytes`, each a MOSH
+/// summary with `CstConfig`'s defaults otherwise: one row per signature
+/// length in `lengths`, then the default summary with and without
+/// signatures (conditional independence only).
+pub fn signature_ablation(
+    corpus: &Corpus,
+    scale: &Scale,
+    bytes: usize,
+    lengths: &[usize],
+) -> (Vec<AblationRow>, [AblationRow; 2]) {
+    let workload = Workload::positive(corpus, scale);
+    let budget = SpaceBudget::Bytes(bytes);
+    let row = |config: CstConfig| {
+        let cst = Cst::from_trie(&corpus.tree, &corpus.trie, &config).expect("CST config is valid");
+        let estimates = workload.estimate_all(&cst, Algorithm::Mosh);
+        AblationRow {
+            nodes: cst.node_count(),
+            relative: avg_relative_error(&workload.truths, &estimates),
+            log10_squared: log10_floored(avg_relative_squared_error(&workload.truths, &estimates)),
+        }
+    };
+    let lengths = lengths
+        .iter()
+        .map(|&signature_len| row(CstConfig { budget, signature_len, ..CstConfig::default() }))
+        .collect();
+    let with = row(CstConfig { budget, ..CstConfig::default() });
+    let without = row(CstConfig { budget, with_signatures: false, ..CstConfig::default() });
+    (lengths, [with, without])
 }
 
 #[cfg(test)]
@@ -323,8 +367,9 @@ mod tests {
         );
     }
 
-    /// The headline Fig. 4 claim needs the full-scale corpus; run with
-    /// `cargo test --release -p twig-eval -- --ignored`.
+    /// The headline Fig. 4 claim needs the full-scale corpus; CI's
+    /// `audit-tests` job runs it with
+    /// `cargo test --release -p twig-eval -- --ignored full_scale_figures`.
     #[test]
     #[ignore = "full-scale experiment; run in release mode"]
     fn full_scale_figures() {

@@ -1,5 +1,7 @@
 //! Corpora, workloads with ground truth, and CST construction helpers.
 
+use std::str::FromStr;
+
 use twig_core::{Algorithm, CountKind, Cst, CstConfig, SpaceBudget};
 use twig_datagen::{
     generate_dblp, generate_sprot, negative_query_candidates, positive_queries, trivial_queries,
@@ -49,30 +51,50 @@ impl Scale {
         }
     }
 
-    /// Reads scale knobs from the environment:
+    /// Reads the scale from the environment; see [`Scale::from_vars`].
+    pub fn from_env() -> Result<Self, String> {
+        Self::from_vars(|name| std::env::var(name).ok())
+    }
+
+    /// Builds a scale from the values `var` looks up by name:
     /// `TWIG_SCALE=small|full` (default full), then optional overrides
-    /// `TWIG_QUERIES`, `TWIG_DBLP_MB`, `TWIG_SPROT_MB`, `TWIG_SIG`.
-    pub fn from_env() -> Self {
-        let mut scale = match std::env::var("TWIG_SCALE").as_deref() {
-            Ok("small") => Self::small(),
-            _ => Self::default(),
+    /// `TWIG_QUERIES`, `TWIG_DBLP_MB`, `TWIG_SPROT_MB`, `TWIG_SIG`. A value
+    /// that is not a positive number is an error naming its variable.
+    pub fn from_vars(var: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
+        let mut scale = match var("TWIG_SCALE").as_deref() {
+            None | Some("full") => Self::default(),
+            Some("small") => Self::small(),
+            Some(other) => return Err(format!("TWIG_SCALE must be small or full, not '{other}'")),
         };
-        if let Ok(queries) = std::env::var("TWIG_QUERIES") {
-            scale.queries = queries.parse().expect("TWIG_QUERIES must be a number");
+        if let Some(queries) = positive_var(&var, "TWIG_QUERIES")? {
+            scale.queries = queries;
         }
-        if let Ok(mb) = std::env::var("TWIG_DBLP_MB") {
-            let mb: f64 = mb.parse().expect("TWIG_DBLP_MB must be a number");
+        if let Some(mb) = positive_var::<f64>(&var, "TWIG_DBLP_MB")? {
             scale.dblp_bytes = (mb * 1048576.0) as usize;
         }
-        if let Ok(mb) = std::env::var("TWIG_SPROT_MB") {
-            let mb: f64 = mb.parse().expect("TWIG_SPROT_MB must be a number");
+        if let Some(mb) = positive_var::<f64>(&var, "TWIG_SPROT_MB")? {
             scale.sprot_bytes = (mb * 1048576.0) as usize;
         }
-        if let Ok(sig) = std::env::var("TWIG_SIG") {
-            scale.signature_len = sig.parse().expect("TWIG_SIG must be a number");
+        if let Some(sig) = positive_var(&var, "TWIG_SIG")? {
+            scale.signature_len = sig;
         }
-        scale
+        Ok(scale)
     }
+}
+
+/// Parses variable `name`, if set, as a positive number (zero queries,
+/// signature words or corpus bytes leave an experiment nothing to
+/// measure).
+fn positive_var<T: FromStr + PartialOrd + Default>(
+    var: &impl Fn(&str) -> Option<String>,
+    name: &str,
+) -> Result<Option<T>, String> {
+    var(name)
+        .map(|value| match value.parse() {
+            Ok(n) if n > T::default() => Ok(n),
+            _ => Err(format!("{name} must be a positive number, not '{value}'")),
+        })
+        .transpose()
 }
 
 /// A corpus: the parsed data tree plus its full (unpruned) suffix trie,
@@ -240,6 +262,40 @@ impl Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A variable lookup over fixed pairs, in place of the environment.
+    fn vars<'a>(pairs: &'a [(&str, &str)]) -> impl Fn(&str) -> Option<String> + 'a {
+        move |name| pairs.iter().find(|(n, _)| *n == name).map(|(_, value)| (*value).to_owned())
+    }
+
+    #[test]
+    fn scale_reads_its_variables() {
+        let full = Scale::from_vars(vars(&[])).unwrap();
+        assert_eq!((full.dblp_bytes, full.queries), (Scale::default().dblp_bytes, 1000));
+        let scale = Scale::from_vars(vars(&[
+            ("TWIG_SCALE", "small"),
+            ("TWIG_QUERIES", "7"),
+            ("TWIG_DBLP_MB", "0.5"),
+            ("TWIG_SPROT_MB", "2"),
+            ("TWIG_SIG", "16"),
+        ]))
+        .unwrap();
+        let read = (scale.queries, scale.dblp_bytes, scale.sprot_bytes, scale.signature_len);
+        assert_eq!(read, (7, 512 << 10, 2 << 20, 16));
+        assert_eq!(scale.seed, Scale::small().seed);
+    }
+
+    #[test]
+    fn scale_rejects_bad_values_by_name() {
+        for name in ["TWIG_QUERIES", "TWIG_DBLP_MB", "TWIG_SPROT_MB", "TWIG_SIG"] {
+            for bad in ["x", "0", "-1", ""] {
+                let err = Scale::from_vars(vars(&[(name, bad)])).unwrap_err();
+                assert_eq!(err, format!("{name} must be a positive number, not '{bad}'"));
+            }
+        }
+        let err = Scale::from_vars(vars(&[("TWIG_SCALE", "huge")])).unwrap_err();
+        assert!(err.contains("TWIG_SCALE must be small or full"), "{err}");
+    }
 
     fn tiny_scale() -> Scale {
         Scale { dblp_bytes: 120 << 10, queries: 20, ..Scale::small() }

@@ -10,13 +10,16 @@
 //!   workload construction with exact ground truths, and CST construction
 //!   at a given space fraction.
 //! - [`experiments`]: one function per table/figure; each returns plain
-//!   data rows that the `twig-bench` binaries print.
+//!   data rows.
+//! - [`figures`]: the table of the paper's figures that `twig eval
+//!   <figure>` prints, one text transcript each (`results/<figure>.txt`).
 //!
 //! Ground truth throughout is the **occurrence** count (Definition 3):
 //! both corpora contain duplicate sibling labels, so — as the paper notes
 //! in Sec. 6.1 — the evaluation is the multiset counting problem.
 
 pub mod experiments;
+pub mod figures;
 pub mod harness;
 pub mod metrics;
 

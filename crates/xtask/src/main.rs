@@ -462,7 +462,6 @@ mod tests {
         assert!(files.iter().all(|f| !f.contains("/fixtures/")), "{files:?}");
         // Nested crates with their own `[workspace]` are other workspaces.
         assert!(files.iter().all(|f| !f.starts_with("twig-bench-v2/")), "{files:?}");
-        assert!(files.iter().all(|f| !f.starts_with("crates/bench/")), "{files:?}");
     }
 
     #[test]
