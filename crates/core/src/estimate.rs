@@ -3,8 +3,9 @@
 use std::cell::RefCell;
 
 use twig_pst::PathToken;
-use twig_tree::Twig;
+use twig_tree::{Twig, TwigLabel, TwigNodeId};
 use twig_util::cast::{count_to_f64, size_to_f64};
+use twig_util::Symbol;
 
 use crate::combine::{combine, CombineScratch, Decomposition};
 use crate::cst::Cst;
@@ -231,55 +232,75 @@ pub fn estimate_raw_summary<S: Summary>(
 
 /// The sibling-injectivity correction — the generic form of
 /// [`Cst::sibling_discount`] (see that method for the rationale).
+///
+/// Only an element parent with two element children of the same label
+/// resolves symbols and looks up a `parent.child` pair; for any other
+/// twig the discount only compares sibling labels. Nothing allocates.
+/// Parents are visited in id order and each label group at its first
+/// member, so the factors multiply in a fixed order.
 pub fn sibling_discount_summary<S: Summary>(summary: &S, twig: &Twig) -> f64 {
-    use twig_pst::PathToken;
-    use twig_tree::TwigLabel;
+    let element_label = |node: TwigNodeId| match twig.label(node) {
+        TwigLabel::Element(label) => Some(label.as_str()),
+        _ => None,
+    };
     let mut discount = 1.0;
     for idx in 0..twig.node_count() as u32 {
-        let parent = twig_tree::TwigNodeId(idx);
-        let TwigLabel::Element(parent_label) = twig.label(parent) else {
+        let parent = TwigNodeId(idx);
+        let Some(parent_label) = element_label(parent) else {
             continue;
         };
-        let Some(parent_sym) = summary.symbol(parent_label) else {
-            continue;
-        };
-        // Count same-labeled element children.
-        let mut groups: Vec<(&str, usize)> = Vec::new();
-        for &child in twig.children(parent) {
-            let TwigLabel::Element(child_label) = twig.label(child) else {
+        let children = twig.children(parent);
+        // Resolved at the parent's first repeated label, if it has one.
+        let mut parent_sym = None;
+        for (i, &child) in children.iter().enumerate() {
+            let Some(label) = element_label(child) else {
                 continue;
             };
-            match groups.iter_mut().find(|(l, _)| *l == child_label.as_str()) {
-                Some((_, count)) => *count += 1,
-                None => groups.push((child_label, 1)),
+            let same_label = |&sibling: &TwigNodeId| element_label(sibling) == Some(label);
+            if children.iter().take(i).any(same_label) {
+                continue; // the group was priced at its first member
             }
-        }
-        for (child_label, k) in groups {
+            let k = children.iter().skip(i).filter(|sibling| same_label(sibling)).count();
             if k < 2 {
                 continue;
             }
-            let Some(child_sym) = summary.symbol(child_label) else {
-                continue;
-            };
-            let Some(node) =
-                summary.lookup(&[PathToken::Element(parent_sym), PathToken::Element(child_sym)])
-            else {
-                continue; // pair below threshold: no evidence, no discount
-            };
-            let cp = count_to_f64(summary.presence(node));
-            let co = count_to_f64(summary.occurrence(node));
-            if cp <= 0.0 {
-                continue;
+            if parent_sym.is_none() {
+                parent_sym = summary.symbol(parent_label);
             }
-            let multiplicity = co / cp;
-            let mut factor = 1.0;
-            for i in 0..k {
-                factor *= (multiplicity - size_to_f64(i)).max(0.0) / multiplicity;
+            let Some(parent_sym) = parent_sym else {
+                break; // an unknown parent label gives no evidence
+            };
+            if let Some(factor) = group_factor(summary, parent_sym, label, k) {
+                discount *= factor;
             }
-            discount *= factor;
         }
     }
     discount
+}
+
+/// The injective assignment ratio `m·(m−1)·…·(m−k+1) / m^k` of `k`
+/// same-labeled legs under a `parent` element, with `m = Co/Cp` of the
+/// `parent.child` pair; `None` when the summary holds no evidence.
+fn group_factor<S: Summary>(
+    summary: &S,
+    parent: Symbol,
+    child_label: &str,
+    k: usize,
+) -> Option<f64> {
+    let child = summary.symbol(child_label)?;
+    // A pair below threshold: no evidence, no discount.
+    let node = summary.lookup(&[PathToken::Element(parent), PathToken::Element(child)])?;
+    let cp = count_to_f64(summary.presence(node));
+    let co = count_to_f64(summary.occurrence(node));
+    if cp <= 0.0 {
+        return None;
+    }
+    let multiplicity = co / cp;
+    let mut factor = 1.0;
+    for i in 0..k {
+        factor *= (multiplicity - size_to_f64(i)).max(0.0) / multiplicity;
+    }
+    Some(factor)
 }
 
 /// Reusable per-thread buffers of the estimate path: the compiled query,
@@ -652,6 +673,7 @@ mod tests {
 mod discount_tests {
     use super::*;
     use crate::cst::{CstConfig, SpaceBudget};
+    use crate::summary::testing::Probe;
     use twig_tree::{DataTree, Twig};
 
     fn cst_for(xml: &str) -> Cst {
@@ -705,6 +727,146 @@ mod discount_tests {
         assert_eq!(cst.sibling_discount(&single), 1.0);
         let double_y = Twig::parse("b(x,y,y)").unwrap();
         assert_eq!(cst.sibling_discount(&double_y), 0.0);
+    }
+
+    /// The discount as first written: resolve every element parent's
+    /// label, group its element children by label in first-appearance
+    /// order, and price every group of two or more.
+    fn resolve_every_label<S: Summary>(summary: &S, twig: &Twig) -> f64 {
+        let mut discount = 1.0;
+        for idx in 0..twig.node_count() as u32 {
+            let parent = TwigNodeId(idx);
+            let TwigLabel::Element(parent_label) = twig.label(parent) else {
+                continue;
+            };
+            let Some(parent_sym) = summary.symbol(parent_label) else {
+                continue;
+            };
+            let mut groups: Vec<(&str, usize)> = Vec::new();
+            for &child in twig.children(parent) {
+                let TwigLabel::Element(child_label) = twig.label(child) else {
+                    continue;
+                };
+                match groups.iter_mut().find(|(label, _)| *label == child_label.as_str()) {
+                    Some((_, count)) => *count += 1,
+                    None => groups.push((child_label, 1)),
+                }
+            }
+            for (child_label, k) in groups {
+                let Some(child_sym) = summary.symbol(child_label).filter(|_| k >= 2) else {
+                    continue;
+                };
+                let pair = [PathToken::Element(parent_sym), PathToken::Element(child_sym)];
+                let Some(node) = summary.lookup(&pair) else {
+                    continue;
+                };
+                let cp = count_to_f64(summary.presence(node));
+                let co = count_to_f64(summary.occurrence(node));
+                if cp <= 0.0 {
+                    continue;
+                }
+                let multiplicity = co / cp;
+                let mut factor = 1.0;
+                for i in 0..k {
+                    factor *= (multiplicity - size_to_f64(i)).max(0.0) / multiplicity;
+                }
+                discount *= factor;
+            }
+        }
+        discount
+    }
+
+    fn has_repeated_sibling_label(twig: &Twig) -> bool {
+        (0..twig.node_count() as u32).any(|idx| {
+            let labels: Vec<&TwigLabel> = twig
+                .children(TwigNodeId(idx))
+                .iter()
+                .map(|&child| twig.label(child))
+                .filter(|label| matches!(label, TwigLabel::Element(_)))
+                .collect();
+            labels.iter().enumerate().any(|(i, label)| labels[..i].contains(label))
+        })
+    }
+
+    /// Twigs over the DBLP-like vocabulary, with and without repeated
+    /// sibling labels. On the `Threshold(1)` summary of the test corpus
+    /// the last three round differently when their factors multiply in
+    /// another order.
+    const SIBLING_TWIGS: [&str; 17] = [
+        "article(title,year)",
+        r#"article(author("A"),journal,year("19"))"#,
+        "article(author,author)",
+        "article(author,author,author)",
+        "inproceedings(author,booktitle,author)",
+        "article(author,author,title,title,year)",
+        r#"article(author("A"),author("B"),cite(author,author))"#,
+        "dblp(article(author,author),article(author,author,author))",
+        "dblp(article(author,author,author),inproceedings(author,author),book(author,author))",
+        "dblp(article(title,title),article(year,year),inproceedings(author,author,author))",
+        "book(*,*,author,author)",
+        "article(ghost,ghost)",
+        "ghost(author,author)",
+        "article(ghost,ghost,author,author,author)",
+        "dblp(article(author,author),article(author,author),article(author,author))",
+        "dblp(article(author,author),article(author,author,cite,cite))",
+        "dblp(inproceedings(author,author,cite,cite),article(author,author,cite,cite))",
+    ];
+
+    fn dblp_cst(budget: SpaceBudget) -> (DataTree, Cst) {
+        let xml = twig_datagen::generate_dblp(&twig_datagen::DblpConfig {
+            target_bytes: 60_000,
+            seed: 0x5eed_0021,
+            ..twig_datagen::DblpConfig::default()
+        });
+        let tree = DataTree::from_xml(&xml).unwrap();
+        let cst = Cst::build(&tree, &CstConfig { budget, ..CstConfig::default() }).unwrap();
+        (tree, cst)
+    }
+
+    #[test]
+    fn discount_equals_resolve_every_label() {
+        let mut discounted = 0;
+        for budget in [SpaceBudget::Threshold(1), SpaceBudget::Fraction(0.02)] {
+            let (tree, cst) = dblp_cst(budget);
+            let cfg = twig_datagen::WorkloadConfig { count: 40, seed: 21, ..Default::default() };
+            let mut twigs: Vec<Twig> =
+                SIBLING_TWIGS.iter().map(|text| Twig::parse(text).unwrap()).collect();
+            twigs.extend(twig_datagen::negative_query_candidates(&tree, &cfg));
+            twigs.extend(twig_datagen::positive_queries(&tree, &cfg));
+            for twig in &twigs {
+                let owned = sibling_discount_summary(&cst, twig);
+                assert_eq!(owned.to_bits(), resolve_every_label(&cst, twig).to_bits(), "{twig}");
+                // Hidden pairs give no evidence, as a damaged summary's do.
+                let damaged = Probe::new(&cst, 96);
+                let expected = resolve_every_label(&damaged, twig);
+                assert_eq!(sibling_discount_summary(&damaged, twig).to_bits(), expected.to_bits());
+                discounted += usize::from(owned != 1.0);
+            }
+        }
+        assert!(discounted >= 10, "only {discounted} twigs were discounted");
+    }
+
+    #[test]
+    fn discount_resolves_no_label_without_a_repeated_sibling_label() {
+        let (tree, cst) = dblp_cst(SpaceBudget::Threshold(1));
+        let cfg = twig_datagen::WorkloadConfig { count: 40, seed: 22, ..Default::default() };
+        let mut twigs: Vec<Twig> =
+            SIBLING_TWIGS.iter().map(|text| Twig::parse(text).unwrap()).collect();
+        twigs.extend(twig_datagen::positive_queries(&tree, &cfg));
+        let (mut plain, mut repeated) = (0, 0);
+        for twig in &twigs {
+            let probe = Probe::new(&cst, 0);
+            sibling_discount_summary(&probe, twig);
+            let calls = probe.symbol_calls.get();
+            if has_repeated_sibling_label(twig) {
+                assert!(calls > 0, "{twig}: a repeated label must be priced");
+                repeated += 1;
+            } else {
+                assert_eq!(calls, 0, "{twig}: resolved {calls} labels");
+                plain += 1;
+            }
+        }
+        assert!(plain >= 10 && repeated >= 10, "{plain} plain, {repeated} repeated twigs");
     }
 
     #[test]

@@ -3,6 +3,9 @@
 //!
 //! Every strategy writes its pieces into a caller's buffer, so the
 //! estimate path parses without allocating once its buffers are warm.
+//! The maximal parse of a range stops at the first start whose longest
+//! match reaches the range's end: no later start can add a piece, so
+//! each query path is walked about once.
 
 use twig_pst::TrieNodeId;
 use twig_tree::Twig;
@@ -89,6 +92,11 @@ fn longest_match<S: Summary>(
 /// Maximal parsing of one token range: appends to `out` all matches not
 /// contained in another match of the same range (the MO parse of
 /// Jagadish, Ng & Srivastava, PODS 1999).
+///
+/// Starts are walked only up to the first one whose longest match
+/// reaches `hi`. That is exact: a later start matches within a subrange
+/// of `start..hi`, so its end cannot pass `hi`, and a piece is kept only
+/// when its end passes every earlier one.
 pub(crate) fn maximal_in_range<S: Summary>(
     cst: &S,
     query: &CompiledQuery,
@@ -108,6 +116,9 @@ pub(crate) fn maximal_in_range<S: Summary>(
             if end > best_end {
                 best_end = end;
                 out.push(Piece { path, start, end, trie });
+                if end == hi {
+                    break;
+                }
             }
         }
     }
@@ -248,7 +259,14 @@ pub(crate) fn covers_query(query: &CompiledQuery, pieces: &[Piece], covered: &mu
 mod tests {
     use super::*;
     use crate::cst::{Cst, CstConfig, SpaceBudget};
+    use crate::summary::testing::Probe;
+    use twig_datagen::{
+        generate_dblp, negative_query_candidates, positive_queries, trivial_queries, DblpConfig,
+        WorkloadConfig,
+    };
+    use twig_pst::PathToken;
     use twig_tree::DataTree;
+    use twig_util::rng::SplitMix64;
 
     fn fixture() -> (DataTree, Cst) {
         let tree = DataTree::from_xml(concat!(
@@ -422,6 +440,132 @@ mod tests {
         assert!(!on(0, 1, 3).contained_in(&on(1, 0, 4), &query));
         assert!(!on(0, 0, 3).same_units(&on(1, 0, 3), &query));
         assert!(!on(0, 0, 3).contained_in(&on(0, 1, 5), &query), "range must span");
+    }
+
+    /// The maximal parse of `lo..hi` by brute force: every start walked
+    /// to its longest match, found by looking up ever longer token ranges,
+    /// and a match kept when its end passes the ends of all earlier ones.
+    fn brute_force_maximal<S: Summary>(
+        summary: &S,
+        query: &CompiledQuery,
+        path: usize,
+        lo: usize,
+        hi: usize,
+    ) -> Vec<Piece> {
+        let tokens = query.tokens(path);
+        let node_of = |start: usize, end: usize| {
+            let resolved: Option<Vec<PathToken>> = tokens[start..end]
+                .iter()
+                .map(|token| match token {
+                    Token::Ok(token) => Some(*token),
+                    _ => None,
+                })
+                .collect();
+            summary.lookup(&resolved?)
+        };
+        let mut pieces = Vec::new();
+        let mut best_end = lo;
+        for start in lo..hi {
+            let longest =
+                (start + 1..=hi).map_while(|end| Some((end, node_of(start, end)?))).last();
+            if let Some((end, trie)) = longest.filter(|&(end, _)| end > best_end) {
+                best_end = end;
+                pieces.push(Piece { path, start, end, trie });
+            }
+        }
+        pieces
+    }
+
+    const LABELS: [&str; 9] =
+        ["dblp", "article", "inproceedings", "book", "author", "title", "year", "cite", "ghost"];
+    const VALUES: [&str; 8] = ["1", "19", "199", "20", "A", "Jo", "T", "zz"];
+
+    /// A seeded twig of up to seven nodes over the DBLP-like vocabulary,
+    /// with value leaves, wildcards and an absent label (`ghost`).
+    fn random_twig(rng: &mut SplitMix64) -> Twig {
+        let mut twig = Twig::with_root_element(LABELS[rng.index(LABELS.len())]);
+        for _ in 0..rng.usize_in(1, 6) {
+            let parent = twig_tree::TwigNodeId(rng.u32_in(0, twig.node_count() as u32 - 1));
+            if twig.label(parent).is_value() {
+                continue;
+            }
+            match rng.index(10) {
+                0 => twig.add_child(parent, twig_tree::TwigLabel::Star),
+                1..=3 => twig.add_value(parent, VALUES[rng.index(VALUES.len())]),
+                _ => twig.add_element(parent, LABELS[rng.index(LABELS.len())]),
+            };
+        }
+        twig
+    }
+
+    /// Checks `maximal_in_range` against the brute force on every range
+    /// of every path of `twig`; returns how many ranges a full-range match
+    /// ended before their last start.
+    fn check_every_range<S: Summary>(summary: &S, twig: &Twig) -> usize {
+        let query = CompiledQuery::compile(summary, twig);
+        let mut stopped_early = 0;
+        for path in 0..query.path_count() {
+            let len = query.tokens(path).len();
+            // Every range: the full path, each PMOSH segment and Leaf's
+            // value range are among them.
+            for lo in 0..len {
+                for hi in lo + 1..=len {
+                    // A piece already in the buffer stays: the parse appends.
+                    let mut pieces = vec![Piece { path, start: 0, end: 0, trie: TrieNodeId::ROOT }];
+                    maximal_in_range(summary, &query, path, lo, hi, &mut pieces);
+                    let expected = brute_force_maximal(summary, &query, path, lo, hi);
+                    assert_eq!(pieces[1..], expected, "{twig}: path {path}, range {lo}..{hi}");
+                    let last_start =
+                        (lo..hi).rev().find(|&i| matches!(query.tokens(path)[i], Token::Ok(_)));
+                    let full = expected.last().filter(|piece| piece.end == hi);
+                    if full.is_some_and(|piece| Some(piece.start) < last_start) {
+                        stopped_early += 1;
+                    }
+                }
+            }
+        }
+        let mut pieces = Vec::new();
+        maximal_pieces(summary, &query, &mut pieces);
+        let mut expected: Vec<Piece> = (0..query.path_count())
+            .flat_map(|path| {
+                brute_force_maximal(summary, &query, path, 0, query.tokens(path).len())
+            })
+            .collect();
+        filter_contained(&query, &mut expected);
+        assert_eq!(pieces, expected, "{twig}: maximal_pieces");
+        stopped_early
+    }
+
+    #[test]
+    fn maximal_in_range_equals_brute_force() {
+        let xml = generate_dblp(&DblpConfig {
+            target_bytes: 40_000,
+            seed: 0x5eed_0021,
+            ..DblpConfig::default()
+        });
+        let tree = DataTree::from_xml(&xml).unwrap();
+        let cfg = WorkloadConfig { count: 15, seed: 21, ..WorkloadConfig::default() };
+        let mut twigs = positive_queries(&tree, &cfg);
+        twigs.extend(negative_query_candidates(&tree, &cfg));
+        twigs.extend(trivial_queries(&tree, &cfg));
+        let mut rng = SplitMix64::new(0x5eed_0021);
+        twigs.extend((0..60).map(|_| random_twig(&mut rng)));
+        for budget in [
+            SpaceBudget::Threshold(1),
+            SpaceBudget::Threshold(2),
+            SpaceBudget::Fraction(0.1),
+            SpaceBudget::Fraction(0.02),
+        ] {
+            let cst = Cst::build(&tree, &CstConfig { budget, ..CstConfig::default() }).unwrap();
+            // The owned summary, then the same one with a quarter of its
+            // edges hidden, as a damaged summary's child search reads.
+            let damaged = Probe::new(&cst, 64);
+            let stopped_early: usize = twigs
+                .iter()
+                .map(|twig| check_every_range(&cst, twig) + check_every_range(&damaged, twig))
+                .sum();
+            assert!(stopped_early > 0, "{budget:?}: no range stopped at a full-range match");
+        }
     }
 
     #[test]

@@ -130,3 +130,95 @@ impl Summary for Cst {
         Cst::signature(self, node).map(|sig| SigView::Words(sig.components()))
     }
 }
+
+/// Test summaries over an owned [`Cst`].
+#[cfg(test)]
+pub(crate) mod testing {
+    use std::cell::Cell;
+
+    use twig_pst::{EdgeKey, PathToken, PrunedTrie, TrieNodeId};
+    use twig_sethash::SigView;
+    use twig_util::Symbol;
+
+    use super::{Summary, TrieAccess};
+    use crate::cst::{Cst, SignatureFallback};
+
+    /// A [`Cst`] seen through a probe: it counts [`Summary::symbol`]
+    /// calls, and hides a seeded share of the trie's edges, as a summary
+    /// pruned harder or damaged in its child sections would.
+    pub(crate) struct Probe<'a> {
+        pub(crate) cst: &'a Cst,
+        /// Of every 256 edges, this many (by hash) are hidden.
+        pub(crate) hidden_per_256: u64,
+        pub(crate) symbol_calls: Cell<usize>,
+    }
+
+    impl<'a> Probe<'a> {
+        pub(crate) fn new(cst: &'a Cst, hidden_per_256: u64) -> Self {
+            Probe { cst, hidden_per_256, symbol_calls: Cell::new(0) }
+        }
+    }
+
+    /// The probe's trie: the owned trie less the hidden edges.
+    pub(crate) struct ProbeTrie<'a> {
+        trie: &'a PrunedTrie,
+        hidden_per_256: u64,
+    }
+
+    impl TrieAccess for ProbeTrie<'_> {
+        fn child(&self, node: TrieNodeId, edge: EdgeKey) -> Option<TrieNodeId> {
+            let key = u64::from(node.0) << 32 | u64::from(edge.raw());
+            let hidden = twig_util::hash::hash_u64(key) >> 56 < self.hidden_per_256;
+            self.trie.child(node, edge).filter(|_| !hidden)
+        }
+
+        fn parent(&self, node: TrieNodeId) -> Option<TrieNodeId> {
+            self.trie.parent(node)
+        }
+    }
+
+    impl Summary for Probe<'_> {
+        type Trie<'b>
+            = ProbeTrie<'b>
+        where
+            Self: 'b;
+
+        fn trie(&self) -> ProbeTrie<'_> {
+            ProbeTrie { trie: self.cst.trie(), hidden_per_256: self.hidden_per_256 }
+        }
+
+        fn n(&self) -> u64 {
+            self.cst.n()
+        }
+
+        fn signature_len(&self) -> usize {
+            self.cst.signature_len()
+        }
+
+        fn fallback(&self) -> SignatureFallback {
+            self.cst.fallback()
+        }
+
+        fn symbol(&self, label: &str) -> Option<Symbol> {
+            self.symbol_calls.set(self.symbol_calls.get() + 1);
+            self.cst.symbol(label)
+        }
+
+        fn lookup(&self, tokens: &[PathToken]) -> Option<TrieNodeId> {
+            let trie = self.trie();
+            tokens.iter().try_fold(TrieNodeId::ROOT, |node, token| trie.child(node, token.edge()))
+        }
+
+        fn presence(&self, node: TrieNodeId) -> u64 {
+            self.cst.presence(node)
+        }
+
+        fn occurrence(&self, node: TrieNodeId) -> u64 {
+            self.cst.occurrence(node)
+        }
+
+        fn signature(&self, node: TrieNodeId) -> Option<SigView<'_>> {
+            Summary::signature(self.cst, node)
+        }
+    }
+}

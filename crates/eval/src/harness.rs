@@ -1,5 +1,6 @@
 //! Corpora, workloads with ground truth, and CST construction helpers.
 
+use std::fmt::Display;
 use std::str::FromStr;
 
 use twig_core::{Algorithm, CountKind, Cst, CstConfig, SpaceBudget};
@@ -59,39 +60,52 @@ impl Scale {
     /// Builds a scale from the values `var` looks up by name:
     /// `TWIG_SCALE=small|full` (default full), then optional overrides
     /// `TWIG_QUERIES`, `TWIG_DBLP_MB`, `TWIG_SPROT_MB`, `TWIG_SIG`. A value
-    /// that is not a positive number is an error naming its variable.
+    /// that is not a positive number, or that passes its ceiling, is an
+    /// error naming its variable.
     pub fn from_vars(var: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
         let mut scale = match var("TWIG_SCALE").as_deref() {
             None | Some("full") => Self::default(),
             Some("small") => Self::small(),
             Some(other) => return Err(format!("TWIG_SCALE must be small or full, not '{other}'")),
         };
-        if let Some(queries) = positive_var(&var, "TWIG_QUERIES")? {
+        if let Some(queries) = bounded_var(&var, "TWIG_QUERIES", MAX_QUERIES)? {
             scale.queries = queries;
         }
-        if let Some(mb) = positive_var::<f64>(&var, "TWIG_DBLP_MB")? {
+        if let Some(mb) = bounded_var(&var, "TWIG_DBLP_MB", MAX_DBLP_MB)? {
             scale.dblp_bytes = (mb * 1048576.0) as usize;
         }
-        if let Some(mb) = positive_var::<f64>(&var, "TWIG_SPROT_MB")? {
+        if let Some(mb) = bounded_var(&var, "TWIG_SPROT_MB", MAX_SPROT_MB)? {
             scale.sprot_bytes = (mb * 1048576.0) as usize;
         }
-        if let Some(sig) = positive_var(&var, "TWIG_SIG")? {
+        if let Some(sig) = bounded_var(&var, "TWIG_SIG", MAX_SIGNATURE_LEN)? {
             scale.signature_len = sig;
         }
         Ok(scale)
     }
 }
 
-/// Parses variable `name`, if set, as a positive number (zero queries,
-/// signature words or corpus bytes leave an experiment nothing to
-/// measure).
-fn positive_var<T: FromStr + PartialOrd + Default>(
+// Ceilings of the `TWIG_*` overrides: 32x to 1000x the full scale, and
+// far below the sizes whose workload arithmetic overflows or whose
+// corpus generation exhausts memory.
+const MAX_QUERIES: usize = 1_000_000;
+const MAX_DBLP_MB: f64 = 256.0;
+const MAX_SPROT_MB: f64 = 128.0;
+const MAX_SIGNATURE_LEN: usize = 1024;
+
+/// Parses variable `name`, if set, as a positive number no larger than
+/// `max` (zero queries, signature words or corpus bytes leave an
+/// experiment nothing to measure).
+fn bounded_var<T: FromStr + PartialOrd + Default + Display>(
     var: &impl Fn(&str) -> Option<String>,
     name: &str,
+    max: T,
 ) -> Result<Option<T>, String> {
     var(name)
         .map(|value| match value.parse() {
-            Ok(n) if n > T::default() => Ok(n),
+            Ok(n) if n > T::default() && n <= max => Ok(n),
+            Ok(n) if n > T::default() => {
+                Err(format!("{name} must be at most {max}, not '{value}'"))
+            }
             _ => Err(format!("{name} must be a positive number, not '{value}'")),
         })
         .transpose()
@@ -293,6 +307,28 @@ mod tests {
                 assert_eq!(err, format!("{name} must be a positive number, not '{bad}'"));
             }
         }
+        for (name, big, max) in [
+            ("TWIG_QUERIES", "18446744073709551615", "1000000"),
+            ("TWIG_QUERIES", "1000001", "1000000"),
+            ("TWIG_DBLP_MB", "1e300", "256"),
+            ("TWIG_DBLP_MB", "inf", "256"),
+            ("TWIG_SPROT_MB", "128.5", "128"),
+            ("TWIG_SIG", "1025", "1024"),
+        ] {
+            let err = Scale::from_vars(vars(&[(name, big)])).unwrap_err();
+            assert_eq!(err, format!("{name} must be at most {max}, not '{big}'"));
+        }
+        let nan = Scale::from_vars(vars(&[("TWIG_DBLP_MB", "NaN")])).unwrap_err();
+        assert_eq!(nan, "TWIG_DBLP_MB must be a positive number, not 'NaN'");
+        let at_ceilings = Scale::from_vars(vars(&[
+            ("TWIG_QUERIES", "1000000"),
+            ("TWIG_DBLP_MB", "256"),
+            ("TWIG_SPROT_MB", "128"),
+            ("TWIG_SIG", "1024"),
+        ]))
+        .unwrap();
+        let read = (at_ceilings.queries, at_ceilings.dblp_bytes, at_ceilings.sprot_bytes);
+        assert_eq!(read, (1_000_000, 256 << 20, 128 << 20));
         let err = Scale::from_vars(vars(&[("TWIG_SCALE", "huge")])).unwrap_err();
         assert!(err.contains("TWIG_SCALE must be small or full"), "{err}");
     }

@@ -63,3 +63,49 @@ pub fn lookup(table: &[u64]) -> u64 {
     let at: usize = raw.parse().unwrap_or(0);
     pick(table, at) // FLAG: taint-index
 }
+
+/// A reusable parse tape is a deserialization boundary too: the view
+/// `tape.parse(body)` returns, and everything read through its
+/// accessors, is the untrusted body.
+pub struct Tape;
+
+#[derive(Clone, Copy)]
+pub struct View;
+
+impl Tape {
+    pub fn parse(&mut self, text: &str) -> View {
+        View
+    }
+}
+
+impl View {
+    pub fn member(self, key: &str) -> Option<View> {
+        None
+    }
+
+    pub fn as_str(self) -> Option<&'static str> {
+        None
+    }
+}
+
+pub fn field_width(tape: &mut Tape, body: &str, widths: &[u64]) -> u64 {
+    let root = tape.parse(body);
+    let name = root.member("name").and_then(View::as_str).unwrap_or_default();
+    widths[name.len()] // FLAG: taint-index
+}
+
+/// `str::parse()` takes no argument, so it is not the tape's entry
+/// point: a literal parsed this way stays clean.
+pub fn literal_width(widths: &[u64]) -> u64 {
+    let width: usize = "3".parse().unwrap_or(0);
+    widths[width] // CLEAN
+}
+
+/// A local collection carries what is stored in it; a field receiver
+/// (`self.lens.push(..)`) is not tracked.
+pub fn stored_width(widths: &[u64]) -> u64 {
+    let raw = std::env::var("TWIG_WIDTHS").unwrap_or_default();
+    let mut lens = Vec::new();
+    lens.push(raw.len());
+    widths[lens[0]] // FLAG: taint-index
+}

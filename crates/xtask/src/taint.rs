@@ -3,8 +3,9 @@
 //! Tracks values derived from taint *sources* — HTTP read buffers
 //! (`.read*(` into a buffer), deserialized frames (parameters of
 //! `Cst::from_bytes` / `Cst::read_from` / `Json::parse` / `Tape::parse`
-//! / `Twig::parse` / `DataTree::from_xml`), and CLI/env input
-//! (`fs::read*`, `env::*`) —
+//! / `Twig::parse` / `DataTree::from_xml`, and their return values, also
+//! when called as a method with matching arity: `tape.parse(text)`), and
+//! CLI/env input (`fs::read*`, `env::*`) —
 //! into *sinks* where an attacker-controlled length or offset becomes a
 //! panic, wraparound, or unbounded allocation:
 //!
@@ -30,8 +31,9 @@
 //! the current function". The per-expression transfer function is a
 //! *blind union*: the taint of an expression is the union of the taints
 //! of every known variable appearing in it (plus `EXT` for source
-//! calls). This deliberately over-approximates — `a.len() + pad` taints
-//! the sum with everything `a` carries — because with no type
+//! calls, and a local collection unions in what `push`/`insert`/`extend`
+//! stored in it). This deliberately over-approximates — `a.len() + pad`
+//! taints the sum with everything `a` carries — because with no type
 //! information an exact dataflow would mostly be wrong in the unsound
 //! direction. Joins are unions, the lattice is finite, so everything
 //! below terminates.
@@ -94,6 +96,11 @@ const SOURCE_PATHS: &[&str] =
 /// result) — sockets, files and already-tainted byte cursors all
 /// produce attacker-controlled bytes.
 const READ_METHODS: &[&str] = &["read", "read_exact", "read_to_end", "read_to_string", "read_line"];
+
+/// Collection writes: the receiver of `items.push(value)` holds, and so
+/// carries, the taint of what was stored in it.
+const STORE_METHODS: &[&str] =
+    &["push", "push_back", "push_str", "insert", "extend", "extend_from_slice"];
 
 // Guard (sanitizer) recognition is shared with the race pass's
 // unsafe-contract audit; see `analysis::guards`.
@@ -826,12 +833,21 @@ impl Walker<'_> {
             _ => {}
         }
 
+        let callees = callgraph::resolve_site(&self.ctx.graph.fns, &self.ctx.by_name, path, method);
         let mut ext = 0u64;
         let source = if method {
             // Reader methods always take a destination buffer;
             // requiring an argument keeps `RwLock::read()` (and other
             // zero-arg `read` homonyms) from counting as input sources.
-            READ_METHODS.contains(&last) && !args.is_empty()
+            // A method that is itself an entry point (`tape.parse(text)`)
+            // returns a view of its untrusted input, as the path form
+            // does; its arity must match, so `str::parse()` is not one.
+            (READ_METHODS.contains(&last) && !args.is_empty())
+                || callees.iter().any(|&callee| {
+                    let target = &self.ctx.graph.fns[callee].item;
+                    target.params.len() == args.len()
+                        && ENTRY_SUFFIXES.iter().any(|s| qual_suffix(&target.qual, s))
+                })
         } else {
             // Entry points count at the call site too: the value
             // `Cst::from_bytes(..)` returns is attacker-shaped data,
@@ -851,8 +867,7 @@ impl Walker<'_> {
             self.saw_ext_source = true;
         }
 
-        for callee in callgraph::resolve_site(&self.ctx.graph.fns, &self.ctx.by_name, path, method)
-        {
+        for callee in callees {
             let summ = &self.summaries[callee];
             if summ.ret_ext {
                 ext |= EXT;
@@ -894,6 +909,14 @@ impl Walker<'_> {
             }
         }
 
+        // `items.push(value)` and friends store their arguments in a
+        // plain local receiver, which then carries what it holds.
+        if method && STORE_METHODS.contains(&last) && all_args != 0 {
+            if let Some(receiver) = dot_idx.and_then(|d| self.local_receiver(d)) {
+                *self.state.entry(receiver).or_insert(0) |= all_args;
+            }
+        }
+
         // `r.read_exact(&mut buf)` and friends write external or
         // receiver-derived bytes into their out-parameters.
         let carry = rcv | all_args | ext;
@@ -911,6 +934,18 @@ impl Walker<'_> {
             }
         }
         ext
+    }
+
+    /// The local variable a method is called on (`items` in
+    /// `items.push(..)`), if the receiver is one: not a field or a
+    /// call result.
+    fn local_receiver(&self, dot: usize) -> Option<String> {
+        let receiver = self.tokens.get(dot.checked_sub(1)?)?;
+        let before = dot.checked_sub(2).and_then(|i| self.tokens.get(i));
+        (receiver.kind == TokenKind::Ident
+            && receiver.text != "self"
+            && !before.is_some_and(|t| t.is_punct(".") || t.is_punct("::")))
+        .then(|| receiver.text.clone())
     }
 
     /// Receiver taint: tainted identifiers in the short chain before a
