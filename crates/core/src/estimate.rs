@@ -240,16 +240,19 @@ pub fn estimate_raw_summary<S: Summary>(
 /// member, so the factors multiply in a fixed order.
 pub fn sibling_discount_summary<S: Summary>(summary: &S, twig: &Twig) -> f64 {
     let element_label = |node: TwigNodeId| match twig.label(node) {
-        TwigLabel::Element(label) => Some(label.as_str()),
+        TwigLabel::Element(label) => Some(label),
         _ => None,
     };
     let mut discount = 1.0;
     for idx in 0..twig.node_count() as u32 {
         let parent = TwigNodeId(idx);
+        let children = twig.children(parent);
+        if children.len() < 2 {
+            continue; // no label can repeat
+        }
         let Some(parent_label) = element_label(parent) else {
             continue;
         };
-        let children = twig.children(parent);
         // Resolved at the parent's first repeated label, if it has one.
         let mut parent_sym = None;
         for (i, &child) in children.iter().enumerate() {
@@ -747,7 +750,7 @@ mod discount_tests {
                 let TwigLabel::Element(child_label) = twig.label(child) else {
                     continue;
                 };
-                match groups.iter_mut().find(|(label, _)| *label == child_label.as_str()) {
+                match groups.iter_mut().find(|(label, _)| *label == child_label) {
                     Some((_, count)) => *count += 1,
                     None => groups.push((child_label, 1)),
                 }
@@ -778,7 +781,7 @@ mod discount_tests {
 
     fn has_repeated_sibling_label(twig: &Twig) -> bool {
         (0..twig.node_count() as u32).any(|idx| {
-            let labels: Vec<&TwigLabel> = twig
+            let labels: Vec<TwigLabel> = twig
                 .children(TwigNodeId(idx))
                 .iter()
                 .map(|&child| twig.label(child))

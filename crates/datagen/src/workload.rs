@@ -312,7 +312,7 @@ mod tests {
         // Existence check with greedy sibling assignment backtracking.
         fn matches(tree: &DataTree, twig: &Twig, q: TwigNodeId, v: NodeId) -> bool {
             match twig.label(q) {
-                TwigLabel::Value(p) => tree.text(v).is_some_and(|t| t.starts_with(p.as_str())),
+                TwigLabel::Value(p) => tree.text(v).is_some_and(|t| t.starts_with(p)),
                 TwigLabel::Star => unreachable!("workloads have no wildcards"),
                 TwigLabel::Element(name) => {
                     if tree.element_symbol(v).map(|s| tree.label_str(s)) != Some(name) {

@@ -61,7 +61,7 @@ impl<'a> ExactCounter<'a> {
         match self.twig.label(q) {
             TwigLabel::Value(prefix) => match self.tree.text(v) {
                 // Prefix semantics: see DESIGN.md §3.
-                Some(text) if text.starts_with(prefix.as_str()) => 1,
+                Some(text) if text.starts_with(prefix) => 1,
                 _ => 0,
             },
             TwigLabel::Element(name) => {

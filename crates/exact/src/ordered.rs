@@ -36,7 +36,7 @@ impl OrderedCounter<'_> {
         }
         let result = match self.twig.label(q) {
             TwigLabel::Value(prefix) => match self.tree.text(v) {
-                Some(text) if text.starts_with(prefix.as_str()) => 1,
+                Some(text) if text.starts_with(prefix) => 1,
                 _ => 0,
             },
             TwigLabel::Element(name) => {

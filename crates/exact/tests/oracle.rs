@@ -133,7 +133,7 @@ fn brute_force(tree: &DataTree, twig: &Twig) -> (u64, u64) {
                     self.tree.element_symbol(v).is_some_and(|sym| self.tree.label_str(sym) == name)
                 }
                 TwigLabel::Value(prefix) => {
-                    self.tree.text(v).is_some_and(|text| text.starts_with(prefix.as_str()))
+                    self.tree.text(v).is_some_and(|text| text.starts_with(prefix))
                 }
                 TwigLabel::Star => unreachable!("the oracle draws no wildcards"),
             }

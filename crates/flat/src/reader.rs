@@ -63,6 +63,8 @@ pub struct FlatCst {
     sections: [Section; SECTION_COUNT],
     state: [AtomicU8; SECTION_COUNT],
     integrity: OnceLock<FlatError>,
+    /// The label index over the packed vocabulary, built on first use.
+    vocab: OnceLock<Vocab>,
 }
 
 /// Location and checksum of one section, for `twig inspect`.
@@ -162,6 +164,7 @@ impl FlatCst {
             sections,
             state: Default::default(),
             integrity: OnceLock::new(),
+            vocab: OnceLock::new(),
             data,
         };
         flat.validate_element_counts()?;
@@ -388,20 +391,15 @@ impl FlatCst {
         Some(node)
     }
 
-    /// Resolves a query label against the packed vocabulary (linear
-    /// scan; query labels are few and short).
+    /// Resolves a query label against the packed vocabulary through a
+    /// hash index the first call builds. As in a scan in symbol order,
+    /// the first symbol of a repeated label wins, and a string section
+    /// that fails its checksum resolves nothing.
     pub fn symbol(&self, label: &str) -> Option<Symbol> {
         let offsets = self.section(SectionKind::StrOffsets);
         let bytes = self.section(SectionKind::StrBytes);
-        let count = (offsets.len() / 4).saturating_sub(1);
-        for index in 0..count {
-            let start = read_u32(offsets, index.checked_mul(4)?)? as usize;
-            let end = read_u32(offsets, index.checked_add(1)?.checked_mul(4)?)? as usize;
-            if start <= end && bytes.get(start..end) == Some(label.as_bytes()) {
-                return u32::try_from(index).ok().map(Symbol);
-            }
-        }
-        None
+        let vocab = self.vocab.get_or_init(|| Vocab::build(offsets, bytes));
+        vocab.probe(offsets, bytes, label.as_bytes()).ok().map(Symbol)
     }
 
     /// Signature of the subpath at `node`, if stored — a borrowed view
@@ -454,6 +452,63 @@ impl std::fmt::Debug for FlatCst {
             .field("mapped", &self.is_mapped())
             .finish_non_exhaustive()
     }
+}
+
+/// An open-addressed index over the packed vocabulary: a slot holds a
+/// symbol plus one (0 is empty), and a label probes linearly from its
+/// FNV-1a hash. The table is at least twice the vocabulary's size, so
+/// every probe reaches an empty slot.
+struct Vocab {
+    slots: Box<[u32]>,
+}
+
+impl Vocab {
+    /// Indexes every symbol whose range lies in `bytes`, skipping a
+    /// label an earlier symbol already spells.
+    fn build(offsets: &[u8], bytes: &[u8]) -> Self {
+        let count = (offsets.len() / 4).saturating_sub(1);
+        let mut vocab =
+            Vocab { slots: vec![0; count.saturating_mul(2).next_power_of_two()].into() };
+        for index in 0..count {
+            let (Some(label), Ok(slot)) =
+                (vocab_label(offsets, bytes, index), u32::try_from(index + 1))
+            else {
+                continue;
+            };
+            if let Err(empty) = vocab.probe(offsets, bytes, label) {
+                if let Some(empty) = vocab.slots.get_mut(empty) {
+                    *empty = slot;
+                }
+            }
+        }
+        vocab
+    }
+
+    /// `Ok(symbol)` for the slot holding `label`, or `Err(slot)` for the
+    /// empty slot where it would go.
+    #[inline]
+    fn probe(&self, offsets: &[u8], bytes: &[u8], label: &[u8]) -> Result<u32, usize> {
+        let mask = self.slots.len() - 1;
+        let mut at = fnv1a64(label) as usize & mask;
+        loop {
+            match self.slots.get(at).copied().unwrap_or(0).checked_sub(1) {
+                None => return Err(at),
+                Some(symbol) if vocab_label(offsets, bytes, symbol as usize) == Some(label) => {
+                    return Ok(symbol)
+                }
+                Some(_) => at = (at + 1) & mask,
+            }
+        }
+    }
+}
+
+/// The bytes of vocabulary entry `index`, or `None` when its range is
+/// reversed or leaves the string section.
+#[inline]
+fn vocab_label<'a>(offsets: &[u8], bytes: &'a [u8], index: usize) -> Option<&'a [u8]> {
+    let start = read_u32(offsets, index.checked_mul(4)?)? as usize;
+    let end = read_u32(offsets, index.checked_add(1)?.checked_mul(4)?)? as usize;
+    bytes.get(start..end)
 }
 
 /// The borrowed trie view of a [`FlatCst`]: the node count and the
@@ -575,5 +630,145 @@ impl Summary for FlatCst {
     #[inline]
     fn signature(&self, node: TrieNodeId) -> Option<SigView<'_>> {
         FlatCst::signature(self, node)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::format::{TABLE_ENTRY_LEN, TABLE_OFFSET};
+    use std::ops::Range;
+    use twig_core::{Cst, CstConfig, SpaceBudget};
+    use twig_datagen::{generate_dblp, DblpConfig};
+    use twig_tree::DataTree;
+    use twig_util::SplitMix64;
+
+    impl FlatCst {
+        /// The vocabulary lookup as first written: a scan in symbol order.
+        fn symbol_scan(&self, label: &str) -> Option<Symbol> {
+            let offsets = self.section(SectionKind::StrOffsets);
+            let bytes = self.section(SectionKind::StrBytes);
+            let count = (offsets.len() / 4).saturating_sub(1);
+            for index in 0..count {
+                let start = read_u32(offsets, index.checked_mul(4)?)? as usize;
+                let end = read_u32(offsets, index.checked_add(1)?.checked_mul(4)?)? as usize;
+                if start <= end && bytes.get(start..end) == Some(label.as_bytes()) {
+                    return u32::try_from(index).ok().map(Symbol);
+                }
+            }
+            None
+        }
+
+        /// Every entry of the packed vocabulary that reads as UTF-8.
+        fn vocabulary(&self) -> Vec<String> {
+            let offsets = self.section(SectionKind::StrOffsets);
+            let bytes = self.section(SectionKind::StrBytes);
+            (0..(offsets.len() / 4).saturating_sub(1))
+                .filter_map(|index| vocab_label(offsets, bytes, index))
+                .filter_map(|label| std::str::from_utf8(label).ok().map(str::to_owned))
+                .collect()
+        }
+    }
+
+    fn packed() -> Vec<u8> {
+        let xml =
+            generate_dblp(&DblpConfig { target_bytes: 40 << 10, seed: 7, ..Default::default() });
+        let tree = DataTree::from_xml(&xml).unwrap();
+        let config = CstConfig { budget: SpaceBudget::Threshold(2), ..CstConfig::default() };
+        crate::writer::pack(&Cst::build(&tree, &config).unwrap()).unwrap()
+    }
+
+    /// The payload range of section `kind` and the offset of its table
+    /// entry.
+    fn section_of(bytes: &[u8], kind: SectionKind) -> (Range<usize>, usize) {
+        let entry = (0..SECTION_COUNT)
+            .map(|index| TABLE_OFFSET + index * TABLE_ENTRY_LEN)
+            .find(|&entry| read_u32(bytes, entry) == Some(kind.id()))
+            .unwrap();
+        let offset = read_u64(bytes, entry + 8).unwrap() as usize;
+        let len = read_u64(bytes, entry + 16).unwrap() as usize;
+        (offset..offset + len, entry)
+    }
+
+    /// Rewrites the checksum of the section at table `entry`.
+    fn reseal(bytes: &mut [u8], payload: Range<usize>, entry: usize) {
+        let checksum = fnv1a64(&bytes[payload]);
+        bytes[entry + 24..entry + 32].copy_from_slice(&checksum.to_le_bytes());
+    }
+
+    /// The index answers every label as the scan does: each vocabulary
+    /// label, its prefixes and extensions, and labels spelled nowhere.
+    fn assert_agrees(flat: &FlatCst, vocabulary: &[String]) {
+        let absent = ["", "no-such-label", "authorx", "Author", "é", "a\u{0}b"];
+        let probes = vocabulary
+            .iter()
+            .flat_map(|label| {
+                [label.clone(), format!("{label}s"), label[..label.len() / 2].to_owned()]
+            })
+            .chain(absent.map(str::to_owned));
+        for label in probes {
+            assert_eq!(flat.symbol(&label), flat.symbol_scan(&label), "{label:?}");
+        }
+    }
+
+    #[test]
+    fn symbol_index_matches_scan_over_the_vocabulary() {
+        let flat = FlatCst::from_bytes(packed()).unwrap();
+        let vocabulary = flat.vocabulary();
+        assert!(vocabulary.len() > 10, "{vocabulary:?}");
+        assert_agrees(&flat, &vocabulary);
+        for (index, label) in vocabulary.iter().enumerate() {
+            assert_eq!(flat.symbol(label), Some(Symbol(index as u32)));
+        }
+        assert_eq!(flat.symbol("no-such-label"), None);
+    }
+
+    /// A resealed file whose offsets spell one label at several symbols:
+    /// the first symbol wins, as in the scan, wherever the copies sit.
+    #[test]
+    fn repeated_vocabulary_labels_resolve_to_the_first() {
+        let bytes = packed();
+        let (offsets, entry) = section_of(&bytes, SectionKind::StrOffsets);
+        let count = offsets.len() / 4 - 1;
+        let mut rng = SplitMix64::new(0x0076_6F63_6162);
+        let mut repeating = 0;
+        for _ in 0..200 {
+            let mut mutated = bytes.clone();
+            let words = &mut mutated[offsets.clone()];
+            // Copy entry `from`'s bounds over entry `to`'s, so both spell
+            // the same label (their neighbours change with them).
+            for _ in 0..=rng.index(3) {
+                let (from, to) = (rng.index(count), rng.index(count));
+                let bounds: [u8; 8] = words[from * 4..from * 4 + 8].try_into().unwrap();
+                words[to * 4..to * 4 + 8].copy_from_slice(&bounds);
+            }
+            reseal(&mut mutated, offsets.clone(), entry);
+            let flat = FlatCst::from_bytes(mutated).unwrap();
+            flat.verify().unwrap();
+            let vocabulary = flat.vocabulary();
+            let repeats = vocabulary.iter().enumerate().any(|(i, l)| vocabulary[..i].contains(l));
+            repeating += usize::from(repeats);
+            assert_agrees(&flat, &vocabulary);
+        }
+        assert!(repeating > 150, "only {repeating} of 200 files repeat a label");
+    }
+
+    /// A string section that fails its checksum resolves no label, not
+    /// even one its intact twin spells.
+    #[test]
+    fn an_unreadable_string_section_resolves_nothing() {
+        let bytes = packed();
+        let vocabulary = FlatCst::from_bytes(bytes.clone()).unwrap().vocabulary();
+        for kind in [SectionKind::StrOffsets, SectionKind::StrBytes] {
+            let (payload, _) = section_of(&bytes, kind);
+            let mut damaged = bytes.clone();
+            damaged[payload.start] ^= 0x20;
+            let flat = FlatCst::from_bytes(damaged).unwrap();
+            assert_agrees(&flat, &vocabulary);
+            for label in &vocabulary {
+                assert_eq!(flat.symbol(label), None, "{} {label}", kind.name());
+            }
+            assert!(flat.verify().is_err());
+        }
     }
 }

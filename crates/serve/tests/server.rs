@@ -432,6 +432,35 @@ fn oversized_body_is_rejected() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A query that nests 40,000 levels (120 KB, under the body limit) once
+/// overflowed the reactor's stack and aborted the server, and a twig of
+/// 16,000 nodes could hold a reactor for seconds. Both are now
+/// `bad_query` errors that name the parse limit, and the server answers
+/// the next request.
+#[test]
+fn oversized_twigs_are_bad_queries_and_the_server_survives() {
+    let dir = temp_dir("twig-limits");
+    let (registry, _cst) = default_registry(&dir);
+    let server = TestServer::start(ServerConfig::default(), registry);
+    let deep = "a(".repeat(40_000) + "b" + &")".repeat(40_000);
+    let wide = format!("a({})", vec!["b"; 16_000].join(","));
+    for (query, limit) in [(deep, "deeper than 64 levels"), (wide, "more than 128 nodes")] {
+        let body = format!(r#"{{"query":"{query}","algorithm":"msh"}}"#);
+        let response = post_json(&server.addr, "/estimate", &body);
+        let head: String = response.body_text().chars().take(200).collect();
+        assert_eq!(response.status, 400, "{head}");
+        let parsed = Json::parse(&response.body_text()).unwrap();
+        let error = parsed.get("error").unwrap();
+        assert_eq!(error.get("kind").unwrap().as_str(), Some("bad_query"));
+        assert!(error.get("message").unwrap().as_str().unwrap().contains(limit));
+        let response = post_json(&server.addr, "/estimate", r#"{"query":"book(author(\"AAA\"))"}"#);
+        assert_eq!(response.status, 200, "{}", response.body_text());
+    }
+    assert_eq!(get(&server.addr, "/healthz").status, 200);
+    server.stop();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn saturation_yields_503_with_retry_after() {
     let dir = temp_dir("saturation");
